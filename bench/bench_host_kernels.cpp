@@ -21,16 +21,7 @@
 
 namespace {
 
-using xhc::sim::SimBackend;
 using xhc::sim::VirtualScheduler;
-
-SimBackend backend_of(const benchmark::State& state) {
-  return state.range(0) == 0 ? SimBackend::kFiber : SimBackend::kThreads;
-}
-
-void label_backend(benchmark::State& state) {
-  state.SetLabel(state.range(0) == 0 ? "fiber" : "threads");
-}
 
 void BM_Memcpy(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
@@ -163,31 +154,28 @@ BENCHMARK(BM_AtomicFetchAddContended)->Threads(1)->Threads(2)->Threads(4);
 
 // --------------------------------------------------------------------------
 // Virtual-time scheduler microbenchmarks: the substrate every figure bench
-// runs on. Arg 0 selects the backend (0 = fiber, 1 = threads) so the
-// user-space-switch vs condvar-handoff gap is measured, not asserted.
+// runs on.
 
 /// Two ranks leapfrogging in virtual time: every advance() hands the token
 /// to the other rank, so this is pure handoff latency.
 void BM_SchedHandoff(benchmark::State& state) {
   constexpr int kInner = 4096;
-  label_backend(state);
   for (auto _ : state) {
-    auto sched = VirtualScheduler::create(2, 0.0, backend_of(state));
+    auto sched = VirtualScheduler::create(2, 0.0);
     sched->run([&](int r) {
       for (int i = 0; i < kInner; ++i) sched->advance(r, 1.0);
     });
   }
   state.SetItemsProcessed(state.iterations() * kInner * 2);
 }
-BENCHMARK(BM_SchedHandoff)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_SchedHandoff)->UseRealTime();
 
 /// Producer stores a flag and notifies; consumer blocks on the channel —
 /// the wait_until/notify pattern every simulated collective is built from.
 void BM_SchedWaitNotify(benchmark::State& state) {
   constexpr std::uint64_t kInner = 2048;
-  label_backend(state);
   for (auto _ : state) {
-    auto sched = VirtualScheduler::create(2, 0.0, backend_of(state));
+    auto sched = VirtualScheduler::create(2, 0.0);
     std::uint64_t flag = 0;
     sched->run([&](int r) {
       if (r == 0) {
@@ -209,16 +197,15 @@ void BM_SchedWaitNotify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kInner));
 }
-BENCHMARK(BM_SchedWaitNotify)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_SchedWaitNotify)->UseRealTime();
 
 /// All n ranks advance with distinct strides, keeping the ready structure
 /// full: measures the (vtime, rank)-keyed pick at paper-system rank counts.
 void BM_SchedPick(benchmark::State& state) {
   constexpr int kInner = 512;
-  const int n = static_cast<int>(state.range(1));
-  label_backend(state);
+  const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto sched = VirtualScheduler::create(n, 0.0, backend_of(state));
+    auto sched = VirtualScheduler::create(n, 0.0);
     sched->run([&](int r) {
       const double stride = 1.0 + static_cast<double>(r) * 1e-3;
       for (int i = 0; i < kInner; ++i) sched->advance(r, stride);
@@ -227,14 +214,7 @@ void BM_SchedPick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kInner *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SchedPick)
-    ->UseRealTime()
-    ->Args({0, 8})
-    ->Args({0, 64})
-    ->Args({0, 160})
-    ->Args({1, 8})
-    ->Args({1, 64})
-    ->Args({1, 160});
+BENCHMARK(BM_SchedPick)->UseRealTime()->Arg(8)->Arg(64)->Arg(160);
 
 }  // namespace
 

@@ -24,7 +24,7 @@ Options:
     --note=TEXT      free-form annotation stored with the run
 
 The store is {"version": 1, "runs": [...]}; each run carries a config
-fingerprint (targets, presets, quick, sim backend) that bench_compare uses
+fingerprint (targets, presets, quick) that bench_compare uses
 to pick a comparable baseline, plus the flat point map
 {"fig8/<preset>/<component>/<size>": latency_us}. The sweeps execute on the
 deterministic simulator, so medians are exact and cross-machine stable.
@@ -206,7 +206,6 @@ def main(argv):
             "targets": targets,
             "presets": opts["presets"],
             "quick": opts["quick"],
-            "backend": os.environ.get("XHC_SIM_BACKEND", "fiber"),
             "k": opts["k"],
             "fault": opts["fault"],
         },

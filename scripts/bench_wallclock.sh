@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Wall-clock trajectory of the simulation substrate: times a fixed bench
-# subset (fig8 on armn1, fig11 on epyc2p) under both virtual-time backends
-# and with the parallel sweep enabled, then emits BENCH_sched.json at the
-# repo root. Future perf PRs append to the history by re-running this.
+# subset (fig8 on armn1, fig11 on epyc2p) serially and with the parallel
+# sweep enabled, then emits BENCH_sched.json at the repo root. Future perf
+# PRs append to the history by re-running this.
 #
 #   scripts/bench_wallclock.sh [build_dir]   # default: build/
 set -euo pipefail
@@ -22,12 +22,11 @@ done
 
 # Best-of-2 wall-clock seconds for one invocation.
 time_target() {
-  local backend="$1"; shift
   local best=""
   for _ in 1 2; do
     local t0 t1 secs
     t0=$(date +%s.%N)
-    XHC_SIM_BACKEND="$backend" "$@" > /dev/null
+    "$@" > /dev/null
     t1=$(date +%s.%N)
     secs=$(awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.3f", b - a}')
     if [ -z "$best" ] || awk -v s="$secs" -v m="$best" 'BEGIN{exit !(s < m)}'
@@ -39,22 +38,18 @@ time_target() {
 }
 
 declare -A secs
+keys=()
 for target in fig8_armn1 fig11_epyc2p; do
   case "$target" in
     fig8_armn1)  cmd=("$build/bench/bench_fig8_bcast" --preset=armn1) ;;
     fig11_epyc2p) cmd=("$build/bench/bench_fig11_allreduce" --preset=epyc2p) ;;
   esac
-  for backend in fiber threads; do
-    key="${target}_${backend}"
-    secs[$key]=$(time_target "$backend" "${cmd[@]}")
-    echo "$key: ${secs[$key]} s"
-  done
-  key="${target}_fiber_jobs${jobs}"
-  secs[$key]=$(time_target fiber "${cmd[@]}" "--jobs=$jobs")
-  echo "$key: ${secs[$key]} s"
+  secs[$target]=$(time_target "${cmd[@]}")
+  key="${target}_jobs${jobs}"
+  secs[$key]=$(time_target "${cmd[@]}" "--jobs=$jobs")
+  keys+=("$target" "$key")
+  echo "$target: ${secs[$target]} s, $key: ${secs[$key]} s"
 done
-
-ratio() { awk -v a="$1" -v b="$2" 'BEGIN{printf "%.2f", a / b}'; }
 
 {
   echo "{"
@@ -62,18 +57,12 @@ ratio() { awk -v a="$1" -v b="$2" 'BEGIN{printf "%.2f", a / b}'; }
   echo "  \"host_cores\": $jobs,"
   echo "  \"wall_clock_seconds\": {"
   first=1
-  for key in fig8_armn1_fiber fig8_armn1_threads "fig8_armn1_fiber_jobs$jobs" \
-             fig11_epyc2p_fiber fig11_epyc2p_threads \
-             "fig11_epyc2p_fiber_jobs$jobs"; do
+  for key in "${keys[@]}"; do
     [ $first -eq 0 ] && echo ","
     first=0
     printf '    "%s": %s' "$key" "${secs[$key]}"
   done
   echo ""
-  echo "  },"
-  echo "  \"speedup_fiber_vs_threads\": {"
-  echo "    \"fig8_armn1\": $(ratio "${secs[fig8_armn1_threads]}" "${secs[fig8_armn1_fiber]}"),"
-  echo "    \"fig11_epyc2p\": $(ratio "${secs[fig11_epyc2p_threads]}" "${secs[fig11_epyc2p_fiber]}")"
   echo "  }"
   echo "}"
 } > "$out"

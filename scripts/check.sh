@@ -16,24 +16,24 @@
 #   scripts/check.sh largemsg   # large-message path gate: bandwidth-engine
 #                               # tests, verified --large sweeps, quick-table
 #                               # bit-identity with the paths disabled,
-#                               # seeded chaos over large sizes, TSan +
-#                               # threads-backend reruns
+#                               # seeded chaos over large sizes, TSan
+#                               # reruns
 #   scripts/check.sh coherence  # coherence observatory gate: scenario
 #                               # assertions, --coherence determinism,
 #                               # zero-cost contract, model tests under
-#                               # TSan + the threads backend
+#                               # TSan
 #   scripts/check.sh service    # multi-tenant service gate: svc + fault
 #                               # suites, a 100k-request/8-tenant soak with
-#                               # byte-determinism across reruns and the
-#                               # threads backend, seeded-fault soaks
+#                               # byte-determinism across reruns,
+#                               # seeded-fault soaks
 #                               # (incl. comm=-filtered clauses), a
 #                               # wider-node soak, and the svc tests under
 #                               # TSan
 #   scripts/check.sh telemetry  # service telemetry gate: obs/svc telemetry
 #                               # suites, off-path bit-identity for fig8 +
 #                               # loadgen with the plane disabled, byte-
-#                               # determinism of every export across reruns
-#                               # and the threads backend, table invariance
+#                               # determinism of every export across
+#                               # reruns, table invariance
 #                               # with the plane attached, and the SLO gate
 #                               # self-test (seeded straggler must trip it)
 #   scripts/check.sh lint       # full static pass: flag-protocol lints
@@ -129,7 +129,7 @@ case "$mode" in
     # allreduce and bcast benches, a bit-identity check that the quick
     # (below-threshold) tables are unchanged when the large paths are force
     # disabled, a seeded chaos sweep over large sizes, and the same test
-    # groups again under the threads backend and TSan.
+    # groups again under TSan.
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
@@ -166,9 +166,6 @@ case "$mode" in
         --fault="$spec" --fault-seed="$seed" > /dev/null
       echo "seed $seed: ok"
     done
-    echo "== threads backend =="
-    (cd build && XHC_SIM_BACKEND=threads ctest --output-on-failure \
-      -j "$(nproc)" -R "$largemsg_tests" "$@")
     echo "== TSan =="
     cmake -B build-tsan -S . -DXHC_SANITIZE=thread
     cmake --build build-tsan -j
@@ -186,7 +183,7 @@ case "$mode" in
     # --coherence output is byte-deterministic across runs and --jobs,
     # that tracking never shifts virtual time (fig8 tables identical with
     # and without --coherence), and that the model tests stay clean under
-    # TSan and the threads scheduler backend.
+    # TSan.
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
@@ -219,11 +216,6 @@ case "$mode" in
       | sed '/^== Coherence/,$d' | awk 'NF' > "$tmp/f8.coh"
     diff "$tmp/f8.plain" "$tmp/f8.coh"
     echo "fig8: latency table identical with tracking on (report stripped)"
-    echo "== threads backend =="
-    XHC_SIM_BACKEND=threads build/bench/bench_fig10_cacheline --quick \
-      > /dev/null
-    (cd build && XHC_SIM_BACKEND=threads ctest --output-on-failure \
-      -j "$(nproc)" -R 'LineModel|SimMachineCoh' "$@")
     echo "== TSan =="
     cmake -B build-tsan -S . -DXHC_SANITIZE=thread
     cmake --build build-tsan -j
@@ -235,9 +227,8 @@ case "$mode" in
   service)
     # Multi-tenant service gate (DESIGN.md § Multi-tenant service): the
     # svc unit/property suites plus the comm-aware fault tests, then a
-    # 100k-request soak across 8 overlapping tenants on mini8 — run twice
-    # and once under the threads backend, all three tables byte-identical —
-    # then seeded chaos soaks (including a comm=-filtered straggler clause)
+    # 100k-request soak across 8 overlapping tenants on mini8 — run twice,
+    # both tables byte-identical — then seeded chaos soaks (including a comm=-filtered straggler clause)
     # proving integrity holds under injected faults, a moderate soak on the
     # wider epyc2p node, and the svc + fault suites again under TSan.
     # bench_loadgen exits non-zero on any payload integrity mismatch, so
@@ -255,9 +246,7 @@ case "$mode" in
     "${soak[@]}" > "$tmp/soak.a"
     "${soak[@]}" > "$tmp/soak.b"
     diff "$tmp/soak.a" "$tmp/soak.b"
-    XHC_SIM_BACKEND=threads "${soak[@]}" > "$tmp/soak.t"
-    diff "$tmp/soak.a" "$tmp/soak.t"
-    echo "soak: clean, byte-deterministic (rerun + threads backend)"
+    echo "soak: clean, byte-deterministic (rerun)"
     echo "== seeded chaos soaks =="
     spec='attach,prob=0.05;regmiss,prob=0.2;straggler,prob=0.1,delay=2e-6'
     spec+=';flagdelay,prob=0.05,delay=1e-6'
@@ -285,8 +274,8 @@ case "$mode" in
     # and the quick soak bit-identical with the plane disabled vs a plain
     # run; the soak's service tables unchanged when the plane is attached),
     # byte-determinism of every export (reqlog, windows JSON, interference
-    # report, chrome trace) across reruns and the threads backend, and the
-    # SLO gate self-test proving the monitor can fail.
+    # report, chrome trace) across reruns, and the SLO gate self-test
+    # proving the monitor can fail.
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
@@ -311,7 +300,7 @@ case "$mode" in
       | grep -v '^trace written' > "$tmp/f8.traced"
     diff "$tmp/f8.plain" "$tmp/f8.traced"
     echo "fig8: tables identical with tracing on (trace line stripped)"
-    echo "== export byte-determinism: rerun + threads backend =="
+    echo "== export byte-determinism: rerun =="
     tele=(build/bench/bench_loadgen --quick --preset=mini8 --csv --jobs=0
           --windows=0.01 --slo='*:p99=5s' --metrics --hist --critpath)
     run_tele() {  # $1 = tag; exports land in a per-tag dir so names match
@@ -325,10 +314,8 @@ case "$mode" in
     }
     run_tele a
     run_tele b
-    (export XHC_SIM_BACKEND=threads; run_tele t)
     diff -r "$tmp/a" "$tmp/b"
-    diff -r "$tmp/a" "$tmp/t"
-    echo "exports: byte-deterministic (rerun + threads backend)"
+    echo "exports: byte-deterministic (rerun)"
     scripts/telemetry_gate_selftest.sh build
     echo "telemetry gate: OK"
     exit 0
@@ -388,18 +375,6 @@ cmake -B "$build_dir" -S . "${cmake_args[@]}"
 cmake --build "$build_dir" -j
 cd "$build_dir"
 ctest --output-on-failure -j "$(nproc)" "$@"
-
-# The virtual-time engine has two backends (fiber default; threads is the
-# condvar reference). TSan builds now run the fiber backend natively via
-# annotated switches, so re-run the simulation tests under the thread
-# backend in both the plain and TSan modes to keep both handoff mechanisms
-# covered by every check run. (ASan forces threads at compile time already;
-# UBSan/verify reruns would only repeat identical single-threaded logic.)
-if [ "$mode" = "" ] || [ "$mode" = thread ]; then
-  echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
-  XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \
-    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc' "$@"
-fi
 
 # The default full run also walks the quick sweeps through the perf gate.
 if [ "$mode" = "" ]; then

@@ -14,8 +14,9 @@ namespace {
 
 constexpr std::size_t kMaxErrors = 32;
 
-/// Coverage published so far, shared across simulated ranks. The mutex
-/// covers the threads backend; under fibers it is uncontended.
+/// Coverage published so far, shared across simulated ranks. Ranks run
+/// one at a time on one host thread, so the mutex is never contended; it
+/// keeps the structure safe without relying on that.
 struct Coverage {
   std::mutex mu;
   std::map<int, std::vector<DataRange>> by_buf;

@@ -6,8 +6,8 @@
 //   * RealMachine — one host thread per rank sharing the address space
 //     (the threads-as-processes substitution for XPMEM-attached MPI ranks);
 //     operations execute natively, `now()` is wall-clock time.
-//   * SimMachine  — the same thread-per-rank execution, but under a
-//     deterministic virtual-time scheduler with a node cost model
+//   * SimMachine  — the same per-rank program, run as one fiber per rank
+//     under a deterministic virtual-time scheduler with a node cost model
 //     (topology-priced copies, cache-line service, congestion). Data
 //     operations still move real bytes, so correctness is checked in
 //     simulation too.
@@ -61,6 +61,13 @@ class Ctx {
   /// identical to charge() and fully deterministic; the real machine
   /// overrides it to sleep, so the loss is observable in wall time.
   virtual void stall(double seconds) { charge(seconds); }
+
+  /// Idles this rank until now() >= t; no-op when already there. An
+  /// absolute target, because now() + (t - now()) can round below t.
+  virtual void stall_until(double t) {
+    const double n = now();
+    if (n < t) stall(t - n);
+  }
 
   /// Copies `n` bytes. Both machines move the bytes; the simulator also
   /// prices the transfer from the buffers' homes, cache residency and

@@ -29,9 +29,8 @@ class AccessSink {
   virtual ~AccessSink() = default;
 
   /// One flag operation by `rank` on `f`. Called on the simulated rank's
-  /// context while it holds the scheduler token, so implementations need
-  /// no locking under the fiber backend; under the threads backend calls
-  /// are still serialized by the token but migrate across host threads.
+  /// fiber while it holds the scheduler token — all ranks share one host
+  /// thread — so implementations need no locking.
   virtual void on_flag(int rank, const mach::Flag* f, FlagOp op,
                        std::uint64_t value) = 0;
 

@@ -7,22 +7,13 @@
 // event order — and therefore every virtual timestamp — is a pure function
 // of the program, independent of host scheduling.
 //
-// Two execution backends implement the identical scheduling discipline
-// (shared state machine in sched_internal.h, so virtual timestamps are
-// bit-identical between them):
-//
-//   * kFiber (default) — every rank is a stackful fiber multiplexed onto
-//     the calling host thread. A handoff is a user-space stack switch
-//     (tens of ns): no mutex, no condition variables, no kernel arbitration
-//     on the hot path — the host-side analogue of the paper's single-writer
-//     flag philosophy. TSan builds keep this backend: every switch is
-//     announced through the sanitizer fiber API, so races between simulated
-//     ranks are checked on the default backend too. Only ASan builds fall
-//     back to threads (create() does so silently).
-//   * kThreads — one host thread per rank, handoffs via per-rank condition
-//     variables under one mutex. ~two kernel context switches per handoff,
-//     but every cross-rank interaction is a real synchronized memory
-//     access, making this the TSan-friendly reference backend.
+// Every rank is a stackful fiber multiplexed onto the host thread that
+// calls run(): a handoff is a user-space stack switch (tens of ns) with no
+// mutex, no condition variable and no kernel arbitration — the host-side
+// analogue of the paper's single-writer flag philosophy. Sanitizer builds
+// run the same engine: each switch is announced through the TSan or ASan
+// fiber API (sched_fibers.cpp), so TSan checks races between simulated
+// ranks and ASan follows every fiber stack.
 //
 // Conditions are expressed as (channel, predicate) pairs: a blocked rank is
 // re-examined only when somebody calls notify(channel); a channel→waiters
@@ -40,23 +31,6 @@
 
 namespace xhc::sim {
 
-/// Host execution substrate of the virtual-time engine. Virtual timestamps
-/// are identical between backends; only host-side speed differs.
-enum class SimBackend {
-  kFiber,    ///< all ranks on one host thread; user-space handoffs
-  kThreads,  ///< one host thread per rank; condvar handoffs (TSan reference)
-};
-
-/// Backend selected by the XHC_SIM_BACKEND environment variable
-/// ("fiber" | "threads"); kFiber when unset. Throws util::Error on an
-/// unrecognized value.
-SimBackend backend_from_env();
-
-/// True when this build can run the fiber backend. False only under
-/// AddressSanitizer, where create() silently uses threads; TSan builds run
-/// fibers with sanitizer-visible (annotated) switches.
-bool fiber_backend_available() noexcept;
-
 class VirtualScheduler {
  public:
   /// Non-capturing predicate thunk: called with the context pointer given
@@ -73,8 +47,8 @@ class VirtualScheduler {
   /// every timestamp invariant.
   using PickHook = std::function<int(const std::vector<int>&)>;
 
-  static std::unique_ptr<VirtualScheduler> create(int n, double epoch,
-                                                  SimBackend backend);
+  /// Scheduler over `n` >= 1 ranks whose clocks all start at `epoch`.
+  static std::unique_ptr<VirtualScheduler> create(int n, double epoch);
 
   virtual ~VirtualScheduler() = default;
 
@@ -136,7 +110,6 @@ class VirtualScheduler {
 
   // -- observers ------------------------------------------------------------
   virtual int n_ranks() const noexcept = 0;
-  virtual SimBackend backend() const noexcept = 0;
 };
 
 }  // namespace xhc::sim

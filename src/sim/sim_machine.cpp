@@ -1,9 +1,11 @@
 #include "sim/sim_machine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 
 #include "obs/coh.h"
 #include "obs/metrics.h"
@@ -81,6 +83,17 @@ class SimMachine::SimCtx final : public mach::Ctx {
 
   void charge(double seconds) override {
     m_->sched_->advance(rank_, seconds);
+  }
+
+  void stall_until(double t) override {
+    if (now() >= t) return;
+    // Lift to the least clock value whose now() reads at least t:
+    // run_epoch_ + t itself can round below it.
+    double clock = run_epoch_ + t;
+    while (clock - run_epoch_ < t) {
+      clock = std::nextafter(clock, std::numeric_limits<double>::infinity());
+    }
+    m_->sched_->lift(rank_, clock);
   }
 
   void copy(void* dst, const void* src, std::size_t n) override {
@@ -512,7 +525,7 @@ void SimMachine::publish_coh_counters(obs::Metrics& m) {
 mach::RunResult SimMachine::run(const std::function<void(mach::Ctx&)>& fn) {
   const int n = n_ranks();
   const double run_epoch = epoch_;
-  sched_ = VirtualScheduler::create(n, run_epoch, backend_);
+  sched_ = VirtualScheduler::create(n, run_epoch);
   // Deadlock reports name blocked channels via the verifier's flag
   // registry (flag waits use the flag's address as the channel).
   sched_->set_channel_namer(
@@ -525,7 +538,7 @@ mach::RunResult SimMachine::run(const std::function<void(mach::Ctx&)>& fn) {
 
   std::exception_ptr error;
   try {
-    // The scheduler owns the execution substrate (fibers or threads),
+    // The scheduler owns the execution substrate (one fiber per rank),
     // aborts the other ranks when one throws, and rethrows the
     // chronologically-first exception once everyone has unwound.
     sched_->run([&](int r) {

@@ -49,13 +49,6 @@ class SimMachine final : public mach::Machine {
   /// continuous across runs).
   double epoch() const noexcept { return epoch_; }
 
-  /// Host execution backend of the virtual-time engine (fiber vs threads;
-  /// virtual timestamps are identical either way). Defaults to the
-  /// XHC_SIM_BACKEND environment variable, kFiber when unset. May be
-  /// changed between runs, never during one.
-  SimBackend backend() const noexcept { return backend_; }
-  void set_backend(SimBackend b) noexcept { backend_ = b; }
-
   /// Coherence observatory (mach::Machine hooks). Tracking gates the
   /// accounting inside LineModel/CacheModel plus the wait-window spin-
   /// refetch attribution; virtual timestamps are identical either way.
@@ -129,7 +122,6 @@ class SimMachine final : public mach::Machine {
   std::unique_ptr<VirtualScheduler> sched_;  // alive during run()
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null
   AccessSink* access_ = nullptr;             // exploration; usually null
-  SimBackend backend_ = backend_from_env();
   double epoch_ = 0.0;
 };
 

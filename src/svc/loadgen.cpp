@@ -383,8 +383,7 @@ LoadgenResult run_loadgen(CommRegistry& reg,
       Communicator& comm = reg.comm(r.comm);
       TenantCtx tctx(ctx, comm.machine());
       // Open loop: idle until the request's fixed arrival time.
-      const double now0 = tctx.now();
-      if (now0 < r.arrival) tctx.stall(r.arrival - now0);
+      tctx.stall_until(r.arrival);
 
       if (l != 0) {
         if (comm.await_verdict(ctx, r.index)) execute(tctx, comm, r, l);

@@ -174,7 +174,11 @@ void Telemetry::attach(CommRegistry& reg) {
               "telemetry was built for a different parent machine");
   for (int c = 0; c < reg.n_comms(); ++c) {
     Communicator& comm = reg.comm(c);
-    auto obs = std::make_unique<obs::Observer>(comm.size());
+    // XhcComponent drops the observer's spans unless the communicator
+    // traces, so an untraced one gets a one-slot ring, not the full one.
+    auto obs = comm.tuning().trace
+                   ? std::make_unique<obs::Observer>(comm.size())
+                   : std::make_unique<obs::Observer>(comm.size(), 1);
     comm.component().set_observer(obs.get());
 
     CommInfo info;

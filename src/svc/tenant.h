@@ -110,6 +110,7 @@ class TenantCtx final : public mach::Ctx {
   double now() override { return parent_->now(); }
   void charge(double seconds) override { parent_->charge(seconds); }
   void stall(double seconds) override { parent_->stall(seconds); }
+  void stall_until(double t) override { parent_->stall_until(t); }
   void copy(void* dst, const void* src, std::size_t n) override {
     parent_->copy(dst, src, n);
   }

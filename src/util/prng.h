@@ -45,10 +45,11 @@ inline void fill_pattern(void* dst, std::size_t bytes,
         static_cast<unsigned char>(v >> (8 * b));
     i += 8;
   }
-  if (i < bytes) {
+  const std::size_t tail = bytes - i;  // < 8
+  if (tail != 0) {
     const std::uint64_t v = rng.next();
-    for (int b = 0; i < bytes; ++i, ++b) {
-      p[i] = static_cast<unsigned char>(v >> (8 * b));
+    for (std::size_t b = 0; b < tail; ++b) {
+      p[i + b] = static_cast<unsigned char>(v >> (8 * b));
     }
   }
 }

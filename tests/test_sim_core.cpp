@@ -2,11 +2,7 @@
 // buffer cache model, the cache-line model, and the virtual-time scheduler.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "sim/cache_model.h"
 #include "sim/line_model.h"
@@ -220,27 +216,15 @@ TEST(LineModelArm, EveryCoreFetchesFromSlc) {
 }
 
 // ---------------------------------------------------------------------------
-// VirtualScheduler — every test runs on both execution backends; the
-// scheduling discipline (and therefore every timestamp) must be identical.
+// VirtualScheduler
 
-class SchedulerTest : public ::testing::TestWithParam<SimBackend> {
- protected:
-  std::unique_ptr<VirtualScheduler> make(int n, double epoch = 0.0) {
-    return VirtualScheduler::create(n, epoch, GetParam());
-  }
-};
-
-TEST_P(SchedulerTest, RunsMinimumTimeFirst) {
-  auto sched = make(2);
+TEST(SchedulerTest, RunsMinimumTimeFirst) {
+  auto sched = VirtualScheduler::create(2, 0.0);
   std::vector<int> order;
-  std::mutex mu;
   sched->run([&](int r) {
     const double step = r == 0 ? 3.0 : 1.0;
     for (int i = 0; i < 3; ++i) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(r);
-      }
+      order.push_back(r);
       sched->advance(r, step);
     }
   });
@@ -254,8 +238,8 @@ TEST_P(SchedulerTest, RunsMinimumTimeFirst) {
   EXPECT_EQ(order[3], 1);
 }
 
-TEST_P(SchedulerTest, WaitUntilResumesAtPredicateTime) {
-  auto sched = make(2);
+TEST(SchedulerTest, WaitUntilResumesAtPredicateTime) {
+  auto sched = VirtualScheduler::create(2, 0.0);
   std::optional<double> publish_time;
   double resumed_at = -1.0;
   sched->run([&](int r) {
@@ -272,8 +256,8 @@ TEST_P(SchedulerTest, WaitUntilResumesAtPredicateTime) {
   EXPECT_DOUBLE_EQ(resumed_at, 7.0);
 }
 
-TEST_P(SchedulerTest, DeadlockIsDetected) {
-  auto sched = make(2);
+TEST(SchedulerTest, DeadlockIsDetected) {
+  auto sched = VirtualScheduler::create(2, 0.0);
   try {
     sched->run([&](int r) {
       int never = 0;
@@ -289,10 +273,10 @@ TEST_P(SchedulerTest, DeadlockIsDetected) {
   }
 }
 
-TEST_P(SchedulerTest, DeadlockAfterFinishIsDetected) {
+TEST(SchedulerTest, DeadlockAfterFinishIsDetected) {
   // Rank 1 finishes while rank 0 is still parked on a never-signaled
   // channel: the finish-side pick must raise the deadlock report too.
-  auto sched = make(2);
+  auto sched = VirtualScheduler::create(2, 0.0);
   try {
     sched->run([&](int r) {
       if (r == 0) {
@@ -311,8 +295,8 @@ TEST_P(SchedulerTest, DeadlockAfterFinishIsDetected) {
   }
 }
 
-TEST_P(SchedulerTest, BarrierReleasesAtMaxArrival) {
-  auto sched = make(3);
+TEST(SchedulerTest, BarrierReleasesAtMaxArrival) {
+  auto sched = VirtualScheduler::create(3, 0.0);
   std::vector<double> after(3);
   sched->run([&](int r) {
     const double pre[] = {1.0, 4.0, 2.0};
@@ -323,9 +307,9 @@ TEST_P(SchedulerTest, BarrierReleasesAtMaxArrival) {
   for (const double t : after) EXPECT_DOUBLE_EQ(t, 4.5);
 }
 
-TEST_P(SchedulerTest, AbortUnblocksEveryone) {
-  auto sched = make(2);
-  std::atomic<int> unwound{0};
+TEST(SchedulerTest, AbortUnblocksEveryone) {
+  auto sched = VirtualScheduler::create(2, 0.0);
+  int unwound = 0;
   EXPECT_THROW(sched->run([&](int r) {
                  if (r == 0) {
                    int never = 0;
@@ -344,11 +328,11 @@ TEST_P(SchedulerTest, AbortUnblocksEveryone) {
                  }
                }),
                util::Error);
-  EXPECT_EQ(unwound.load(), 2);
+  EXPECT_EQ(unwound, 2);
 }
 
-TEST_P(SchedulerTest, RankExceptionAbortsAndRethrows) {
-  auto sched = make(3);
+TEST(SchedulerTest, RankExceptionAbortsAndRethrows) {
+  auto sched = VirtualScheduler::create(3, 0.0);
   try {
     sched->run([&](int r) {
       if (r == 1) throw util::Error("boom from rank 1");
@@ -363,20 +347,16 @@ TEST_P(SchedulerTest, RankExceptionAbortsAndRethrows) {
   }
 }
 
-TEST_P(SchedulerTest, ManyRanksHeapOrdering) {
+TEST(SchedulerTest, ManyRanksHeapOrdering) {
   // Staggered advances over enough ranks to exercise real heap reshuffles:
   // rank r repeatedly advances by (r % 7) + 1; the global event sequence
   // must follow the (vtime, rank) total order.
   constexpr int kN = 64;
-  auto sched = make(kN);
+  auto sched = VirtualScheduler::create(kN, 0.0);
   std::vector<std::pair<double, int>> events;
-  std::mutex mu;
   sched->run([&](int r) {
     for (int i = 0; i < 8; ++i) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        events.emplace_back(sched->now(r), r);
-      }
+      events.emplace_back(sched->now(r), r);
       sched->advance(r, static_cast<double>(r % 7 + 1));
     }
   });
@@ -385,28 +365,6 @@ TEST_P(SchedulerTest, ManyRanksHeapOrdering) {
     EXPECT_LE(events[i - 1], events[i])
         << "out-of-order events at index " << i;
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, SchedulerTest,
-                         ::testing::Values(SimBackend::kFiber,
-                                           SimBackend::kThreads),
-                         [](const auto& info) {
-                           return info.param == SimBackend::kFiber
-                                      ? "fiber"
-                                      : "threads";
-                         });
-
-TEST(SchedulerBackend, EnvSelection) {
-  // Unset → fiber.
-  unsetenv("XHC_SIM_BACKEND");
-  EXPECT_EQ(backend_from_env(), SimBackend::kFiber);
-  setenv("XHC_SIM_BACKEND", "threads", 1);
-  EXPECT_EQ(backend_from_env(), SimBackend::kThreads);
-  setenv("XHC_SIM_BACKEND", "fiber", 1);
-  EXPECT_EQ(backend_from_env(), SimBackend::kFiber);
-  setenv("XHC_SIM_BACKEND", "bogus", 1);
-  EXPECT_THROW(backend_from_env(), util::Error);
-  unsetenv("XHC_SIM_BACKEND");
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // tenant rank renumbering, the arbiter's admission/degradation chain,
 // overlapping communicators policed by one shared ledger, backpressure and
 // deadline shedding under the loadgen, payload integrity under injected
-// faults, byte-determinism across runs and host backends, and systematic
-// interleaving exploration of two overlapping communicators.
+// faults, byte-determinism across runs, and systematic interleaving
+// exploration of two overlapping communicators.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +15,7 @@
 #include "check/explore.h"
 #include "mach/machine.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "sim/sim_machine.h"
 #include "svc/arbiter.h"
 #include "svc/loadgen.h"
@@ -257,28 +258,24 @@ TEST(SvcLoadgen, IntegrityHoldsUnderInjectedFaults) {
   EXPECT_EQ(r.integrity_failures, 0u);
 }
 
-TEST(SvcLoadgen, SoakIsByteDeterministicAcrossRunsAndBackends) {
+TEST(SvcLoadgen, SoakIsByteDeterministicAcrossRuns) {
   const svc::LoadgenConfig cfg = small_soak_config();
-  const auto soak = [&](sim::SimBackend backend) {
+  const auto soak = [&] {
     sim::SimMachine machine(topo::mini8(), 8);
-    machine.set_backend(backend);
     return svc::run_soak(machine, cfg, generous_budget(8, cfg.n_comms, {}));
   };
-  const svc::LoadgenResult a = soak(sim::SimBackend::kFiber);
-  const svc::LoadgenResult b = soak(sim::SimBackend::kFiber);
-  const svc::LoadgenResult c = soak(sim::SimBackend::kThreads);
-  for (const svc::LoadgenResult* r : {&b, &c}) {
-    EXPECT_EQ(a.completed, r->completed);
-    EXPECT_EQ(a.shed, r->shed);
-    EXPECT_EQ(a.integrity_failures, r->integrity_failures);
-    EXPECT_EQ(a.backoff_stalls, r->backoff_stalls);
-    EXPECT_EQ(a.makespan, r->makespan);  // bit-equal virtual time
-    for (int k = 0; k < svc::kNumOpClasses; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      EXPECT_EQ(a.per_class[kk].completed, r->per_class[kk].completed);
-      EXPECT_EQ(a.per_class[kk].latency.percentile(0.99),
-                r->per_class[kk].latency.percentile(0.99));
-    }
+  const svc::LoadgenResult a = soak();
+  const svc::LoadgenResult b = soak();
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.integrity_failures, b.integrity_failures);
+  EXPECT_EQ(a.backoff_stalls, b.backoff_stalls);
+  EXPECT_EQ(a.makespan, b.makespan);  // bit-equal virtual time
+  for (int k = 0; k < svc::kNumOpClasses; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    EXPECT_EQ(a.per_class[kk].completed, b.per_class[kk].completed);
+    EXPECT_EQ(a.per_class[kk].latency.percentile(0.99),
+              b.per_class[kk].latency.percentile(0.99));
   }
 }
 
@@ -294,14 +291,11 @@ struct TelemetryRun {
   std::uint64_t shed = 0;
 };
 
-TelemetryRun telemetry_soak(sim::SimBackend backend,
-                            const std::string& slo = "") {
+TelemetryRun telemetry_soak() {
   sim::SimMachine machine(topo::mini8(), 8);
-  machine.set_backend(backend);
   svc::LoadgenConfig cfg = small_soak_config();
   svc::TelemetryConfig tcfg;
   tcfg.window_seconds = 0.005;
-  tcfg.slo = slo;
   svc::Telemetry tele(machine, tcfg, cfg.requests);
   cfg.telemetry = &tele;
   const svc::LoadgenResult r =
@@ -318,13 +312,11 @@ TelemetryRun telemetry_soak(sim::SimBackend backend,
   return out;
 }
 
-TEST(SvcTelemetry, ExportsAreByteDeterministicAcrossRunsAndBackends) {
-  const TelemetryRun a = telemetry_soak(sim::SimBackend::kFiber);
-  const TelemetryRun b = telemetry_soak(sim::SimBackend::kFiber);
-  const TelemetryRun c = telemetry_soak(sim::SimBackend::kThreads);
+TEST(SvcTelemetry, ExportsAreByteDeterministicAcrossRuns) {
+  const TelemetryRun a = telemetry_soak();
+  const TelemetryRun b = telemetry_soak();
   EXPECT_EQ(a.completed + a.shed, small_soak_config().requests);
   EXPECT_EQ(a.exports, b.exports);
-  EXPECT_EQ(a.exports, c.exports);
 }
 
 TEST(SvcTelemetry, AttachedPlaneLeavesServiceResultsUntouched) {
@@ -380,6 +372,64 @@ TEST(SvcTelemetry, AttachedPlaneLeavesServiceResultsUntouched) {
   }
   EXPECT_EQ(completed, r.completed);
   EXPECT_EQ(shed, r.shed);
+}
+
+TEST(SvcTelemetry, VerdictNeverPrecedesArrival) {
+  // The open-loop leader idles until each request's arrival before
+  // deciding, so no admission verdict may be stamped earlier than the
+  // request arrived (queued time is never negative), on any seed.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::SimMachine machine(topo::mini8(), 8);
+    svc::LoadgenConfig cfg = small_soak_config();
+    cfg.requests = 100;
+    cfg.seed = seed;
+    svc::Arbiter arbiter(generous_budget(8, cfg.n_comms, {}));
+    svc::CommRegistry reg(machine, arbiter);
+    for (const svc::CommSpec& spec : svc::make_comm_plan(8, cfg, {})) {
+      reg.create(spec);
+    }
+    const std::vector<svc::Request> schedule = svc::make_schedule(cfg, reg);
+    svc::Telemetry tele(machine, {}, cfg.requests);
+    cfg.telemetry = &tele;
+    svc::run_loadgen(reg, schedule, cfg);
+    for (const svc::Request& r : schedule) {
+      const svc::ReqRecord& rec = tele.records()[r.id];
+      ASSERT_NE(rec.outcome, svc::ReqOutcome::kNone);
+      EXPECT_GE(rec.verdict_time, r.arrival)
+          << "seed " << seed << " request " << r.id;
+    }
+  }
+}
+
+TEST(SvcTelemetry, UntracedCommunicatorsHoldNoSpanRings) {
+  // Span rings are sized by whether the communicator traces: with
+  // Tuning::trace off nothing is recorded, so the plane keeps no
+  // full-size rings; with it on every rank gets the full default ring.
+  const std::size_t full = obs::Recorder(1).capacity();
+  for (const bool trace : {false, true}) {
+    sim::SimMachine machine(topo::mini8(), 8);
+    svc::LoadgenConfig cfg = small_soak_config();
+    cfg.requests = 100;
+    coll::Tuning base;
+    base.trace = trace;
+    svc::Telemetry tele(machine, {}, cfg.requests);
+    cfg.telemetry = &tele;
+    svc::run_soak(machine, cfg, generous_budget(8, cfg.n_comms, base), base);
+    ASSERT_EQ(tele.n_comms(), cfg.n_comms);
+    for (int c = 0; c < tele.n_comms(); ++c) {
+      const std::size_t cap = tele.observer(c)->trace().capacity();
+      if (trace) {
+        EXPECT_EQ(cap, full) << "comm " << c;
+      } else {
+        EXPECT_LT(cap, full) << "comm " << c;
+      }
+    }
+    if (trace) {
+      EXPECT_GT(tele.spans_recorded(), 0u);
+    } else {
+      EXPECT_EQ(tele.spans_recorded(), 0u);
+    }
+  }
 }
 
 TEST(SvcTelemetry, WaitMatrixAttributesAdmissionWaitsToTokenHolders) {
