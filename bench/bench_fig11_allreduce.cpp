@@ -44,7 +44,7 @@ static int run(int argc, char** argv) {
           cfg.observer = observers[si].get();
         }
         if (args.hist_on()) cfg.size_hists = &hists[i];
-        bench::wire_wait_hist(args, *machine, cfg.observer);
+        const bench::MachineProbes probes(args, *machine, cfg.observer);
         results[si][ci] = osu::allreduce_sweep(*machine, *comp, sizes, cfg);
       });
 

@@ -48,7 +48,7 @@ static int run(int argc, char** argv) {
           cfg.observer = observers[si].get();
         }
         if (args.hist_on()) cfg.size_hists = &hists[i];
-        bench::wire_wait_hist(args, *machine, cfg.observer);
+        const bench::MachineProbes probes(args, *machine, cfg.observer);
         bench::wire_coherence(args, *machine);
         results[si][ci] = osu::bcast_sweep(*machine, *comp, sizes, cfg);
         // Each point owns its machine, so the report is private to this

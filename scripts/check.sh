@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the test suite — optionally
-# under a sanitizer or the protocol verifier (each mode gets its own build
-# directory).
+# under a sanitizer or with warnings as errors (each mode gets its own build
+# directory). The protocol ledger runs inside the plain suite: the component
+# test suites attach it to their machines at run time.
 #
 #   scripts/check.sh            # plain tier-1 build + ctest (build/)
 #   scripts/check.sh thread     # ThreadSanitizer       (build-tsan/)
 #   scripts/check.sh address    # Address+UB sanitizer  (build-asan/)
 #   scripts/check.sh undefined  # UBSan alone           (build-ubsan/)
-#   scripts/check.sh verify     # XHC_VERIFY=ON ledger  (build-verify/)
+#   scripts/check.sh werror     # warnings as errors    (build-werror/)
 #   scripts/check.sh fault      # chaos suite: fixed seed sweep (build/)
 #                               # plus the same under TSan (build-tsan/)
 #   scripts/check.sh bench      # perf regression gate: quick fig8+fig11+
@@ -90,9 +91,9 @@ case "$mode" in
     build_dir=build-ubsan
     cmake_args=(-DXHC_SANITIZE=undefined)
     ;;
-  verify)
-    build_dir=build-verify
-    cmake_args=(-DXHC_VERIFY=ON)
+  werror)
+    build_dir=build-werror
+    cmake_args=(-DXHC_WERROR=ON)
     ;;
   fault)
     # Chaos mode: the fault/degradation suite in the plain build, a seeded
@@ -126,7 +127,9 @@ case "$mode" in
   largemsg)
     # Large-message path gate (DESIGN.md § Large-message paths): the
     # bandwidth-engine test groups, result-verified --large sweeps of the
-    # allreduce and bcast benches, a bit-identity check that the quick
+    # allreduce and bcast benches (--verify also attaches the flag ledger,
+    # so every flag operation of those sweeps is protocol-checked too), a
+    # bit-identity check that the quick
     # (below-threshold) tables are unchanged when the large paths are force
     # disabled, a seeded chaos sweep over large sizes, and the same test
     # groups again under TSan.
@@ -361,8 +364,8 @@ case "$mode" in
     ;;
   *)
     echo "usage: $0" \
-         "[thread|address|undefined|verify|fault|bench|largemsg|coherence|" \
-         "service|lint|analyze] [ctest args...]" >&2
+         "[thread|address|undefined|werror|fault|bench|largemsg|coherence|" \
+         "service|telemetry|lint|analyze] [ctest args...]" >&2
     exit 2
     ;;
 esac

@@ -48,18 +48,25 @@ bool independent(const Segment& a, const Segment& b) {
   return true;
 }
 
-class Recorder final : public sim::AccessSink {
+/// Records each step's accesses: stores and RMWs write the flag word,
+/// reads and wait entries read it, payload accesses cover their range.
+class Recorder final : public mach::Probe {
  public:
   Segment* seg = nullptr;  ///< null disables recording (random walks)
 
-  void on_flag(int /*rank*/, const mach::Flag* f, FlagOp op,
-               std::uint64_t /*value*/) override {
-    if (seg == nullptr) return;
-    const bool write = op == FlagOp::kStore || op == FlagOp::kRmw;
-    seg->add(reinterpret_cast<std::uintptr_t>(f), 8, write);
+  void on_store(const mach::Flag* f, int, std::uint64_t, double) override {
+    on_data(0, f, 8, /*write=*/true);
   }
-  void on_data(int /*rank*/, const void* p, std::size_t n,
-               bool write) override {
+  void on_rmw(const mach::Flag* f, int, std::uint64_t, double) override {
+    on_data(0, f, 8, /*write=*/true);
+  }
+  void on_observe(const mach::Flag* f, int, std::uint64_t, double) override {
+    on_data(0, f, 8, /*write=*/false);
+  }
+  void on_wait_enter(const mach::Flag* f, int, std::uint64_t) override {
+    on_data(0, f, 8, /*write=*/false);
+  }
+  void on_data(int, const void* p, std::size_t n, bool write) override {
     if (seg == nullptr) return;
     seg->add(reinterpret_cast<std::uintptr_t>(p), n, write);
   }

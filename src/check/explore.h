@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/access_sink.h"
+#include "mach/probe.h"
 #include "sim/scheduler.h"
 
 namespace xhc::check {
@@ -35,11 +35,12 @@ struct RunOutcome {
   std::string diag;  ///< one-line description when failed
 };
 
-/// One full program execution under `hook`; `sink` (never null) must be
-/// installed so the explorer sees per-step accesses. The runner must make
-/// a fresh program state per call (exploration replays from scratch).
+/// One full program execution under `hook`; `probe` (never null) must be
+/// attached to the machine for the run so the explorer sees per-step
+/// accesses. The runner must make a fresh program state per call
+/// (exploration replays from scratch).
 using Runner = std::function<RunOutcome(const sim::VirtualScheduler::PickHook&,
-                                        sim::AccessSink*)>;
+                                        mach::Probe*)>;
 
 struct ExploreOptions {
   int max_branch_depth = 6;    ///< decision points explored per execution

@@ -59,7 +59,7 @@ struct Coverage {
 InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
                        const verify::Ledger& names,
                        sim::VirtualScheduler::PickHook hook,
-                       sim::AccessSink* sink) {
+                       mach::Probe* probe) {
   XHC_REQUIRE(machine.n_ranks() == m.n_ranks, "machine has ",
               machine.n_ranks(), " ranks, model needs ", m.n_ranks);
 
@@ -74,18 +74,12 @@ InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
     }
   }
   mach::Buffer lines(machine, 0, order.size() * 64);
-  // The allocator reuses addresses across run_model calls; any crossing a
-  // previous occupant recorded would satisfy this run's waits instantly.
-  machine.forget_flag_history(lines.get(), order.size() * 64);
   for (std::size_t i = 0; i < order.size(); ++i) {
     fresh[order[i]] = new (lines.bytes() + i * 64) mach::Flag();
   }
 
   // The run's own discipline ledger carries the original registration over
-  // to the fresh addresses and records instead of throwing. The machine's
-  // built-in ledger gets the fresh flags whitelisted as kShared so checked
-  // builds don't abort mid-run on a deliberately broken model; violations
-  // are this ledger's job here.
+  // to the fresh addresses and records instead of throwing.
   verify::Ledger own;
   own.set_abort_on_violation(false);
   for (const auto& [old_f, new_f] : fresh) {
@@ -93,14 +87,12 @@ InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
     const auto policy =
         names.flag_policy(old_f).value_or(verify::WriterPolicy::kFixed);
     own.register_flag(new_f, name.empty() ? "interp" : name, policy);
-    machine.verify_ledger().register_flag(new_f, "interp.shadow",
-                                          verify::WriterPolicy::kShared);
   }
 
   Coverage cov;
   InterpResult res;
   machine.set_pick_hook(std::move(hook));
-  machine.set_access_sink(sink);
+  if (probe != nullptr) machine.attach(probe);
   try {
     machine.run([&](mach::Ctx& ctx) {
       const int r = ctx.rank();
@@ -129,11 +121,10 @@ InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
     res.errors.push_back(what);
   }
   machine.set_pick_hook(nullptr);
-  machine.set_access_sink(nullptr);
+  if (probe != nullptr) machine.detach(probe);
 
   res.violations = own.violations();
   for (std::string& err : cov.errors) res.errors.push_back(std::move(err));
-  machine.verify_ledger().forget_range(lines.get(), order.size() * 64);
   return res;
 }
 

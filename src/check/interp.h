@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "check/schedule_model.h"
-#include "sim/access_sink.h"
+#include "mach/probe.h"
 #include "sim/scheduler.h"
 #include "verify/verify.h"
 
@@ -48,12 +48,13 @@ struct InterpResult {
 /// machine must have exactly m.n_ranks ranks). `names` is the ledger the
 /// model's flags were registered with — names and writer policies carry
 /// over to the run's fresh flags. `hook` perturbs the schedule (null: the
-/// engine's default deterministic order); `sink` additionally observes
-/// every flag access (may be null). The machine's pick hook / access sink
-/// are restored to null on return.
+/// engine's default deterministic order); `probe`, when not null, is
+/// attached to the machine for the run and observes every access. The
+/// machine's pick hook is restored to null and the probe detached on
+/// return.
 InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
                        const verify::Ledger& names,
                        sim::VirtualScheduler::PickHook hook = nullptr,
-                       sim::AccessSink* sink = nullptr);
+                       mach::Probe* probe = nullptr);
 
 }  // namespace xhc::check

@@ -1,5 +1,7 @@
 #include "mach/machine.h"
 
+#include <algorithm>
+
 namespace xhc::mach {
 
 std::uint64_t AllocRegistry::insert(void* p, std::size_t bytes,
@@ -28,6 +30,15 @@ const AllocRegistry::Block* AllocRegistry::find(const void* p) const {
   const auto* addr = static_cast<const std::byte*>(p);
   if (addr >= b.base && addr < b.base + b.bytes) return &b;
   return nullptr;
+}
+
+void Machine::attach(Probe* p) {
+  if (std::count(probes_.begin(), probes_.end(), p) == 0) probes_.push_back(p);
+}
+
+void Machine::detach(Probe* p) {
+  probes_.erase(std::remove(probes_.begin(), probes_.end(), p),
+                probes_.end());
 }
 
 }  // namespace xhc::mach

@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/timeseries.h"
 #include "topo/presets.h"
 #include "util/cacheline.h"
 #include "util/check.h"
@@ -94,21 +93,16 @@ class CentralBarrier {
 
 class RealMachine::RealCtx final : public Ctx {
  public:
-  RealCtx(int rank, int size, int core, Clock::time_point t0,
-          CentralBarrier* barrier, verify::Ledger* ledger, WaitShared* wait,
-          double wait_timeout, obs::HistSet* wait_hist,
-          obs::TimeSeries* wait_series, int wait_series_id)
-      : rank_(rank),
-        size_(size),
-        core_(core),
+  RealCtx(const RealMachine& m, int rank, Clock::time_point t0,
+          CentralBarrier* barrier, WaitShared* wait)
+      : m_(m),
+        rank_(rank),
+        size_(m.n_ranks()),
+        core_(m.map_.core_of(rank)),
         t0_(t0),
         barrier_(barrier),
-        ledger_(ledger),
-        wait_(wait),
-        wait_timeout_(wait_timeout),
-        wait_hist_(wait_hist),
-        wait_series_(wait_series),
-        wait_series_id_(wait_series_id) {}
+        probes_(m.probes()),
+        wait_(wait) {}
 
   int rank() const noexcept override { return rank_; }
   int size() const noexcept override { return size_; }
@@ -142,26 +136,29 @@ class RealMachine::RealCtx final : public Ctx {
   }
 
   void flag_store(Flag& f, std::uint64_t v) override {
-#if XHC_VERIFY_ENABLED
-    // Checked before the store so a reader can never see a value whose
-    // legality the ledger has not yet judged.
-    ledger_->on_store(&f, rank_, v);
-#endif
+    // Probes see the store first, so a reader can never see a value whose
+    // legality an attached ledger has not yet judged.
+    for (Probe* p : probes_) p->on_store(&f, rank_, v, Probe::kNoTime);
     f.v.store(v, std::memory_order_release);
   }
 
   std::uint64_t flag_read(const Flag& f) override {
-    return f.v.load(std::memory_order_acquire);
+    const std::uint64_t value = f.v.load(std::memory_order_acquire);
+    for (Probe* p : probes_) p->on_observe(&f, rank_, value, Probe::kNoTime);
+    return value;
   }
 
   void flag_wait_ge(const Flag& f, std::uint64_t v) override {
-    if (f.v.load(std::memory_order_acquire) >= v) return;
-    // Blocking path: when histograms or the windowed wait series are
-    // attached, the wall-clock blocked duration lands in the per-rank
-    // kFlagWait histogram / the plane's wait series.
-    const bool timed = wait_hist_ != nullptr || wait_series_ != nullptr;
+    for (Probe* p : probes_) p->on_wait_enter(&f, rank_, v);
+    if (f.v.load(std::memory_order_acquire) >= v) {
+      for (Probe* p : probes_) {
+        p->on_wait_resume(&f, rank_, v, Probe::kNoTime, Probe::kNoTime);
+      }
+      return;
+    }
+    // Blocking path: probes get the wall-clock blocked duration.
     const Clock::time_point wait_t0 =
-        timed ? Clock::now() : Clock::time_point{};
+        probes_.empty() ? Clock::time_point{} : Clock::now();
     WaitSlot& slot = wait_->slots[static_cast<std::size_t>(rank_)];
     slot.need.store(v, std::memory_order_relaxed);
     slot.chan.store(&f, std::memory_order_release);
@@ -180,21 +177,16 @@ class RealMachine::RealCtx final : public Ctx {
       if ((iter & kCheckMask) == 0) check_watchdog(&f, v, deadline);
     }
     slot.chan.store(nullptr, std::memory_order_release);
-    if (wait_hist_ != nullptr) {
-      wait_hist_->record(rank_, obs::HistKind::kFlagWait,
-                         seconds_since(wait_t0));
-    }
-    if (wait_series_ != nullptr) {
-      wait_series_->record(rank_, wait_series_id_, seconds_since(t0_),
-                           seconds_since(wait_t0));
+    for (Probe* p : probes_) {
+      p->on_wait_resume(&f, rank_, v, Probe::kNoTime, seconds_since(wait_t0));
     }
   }
 
   std::uint64_t fetch_add(Flag& f, std::uint64_t delta) override {
     const std::uint64_t prev = f.v.fetch_add(delta, std::memory_order_acq_rel);
-#if XHC_VERIFY_ENABLED
-    ledger_->on_rmw(&f, rank_, prev + delta);
-#endif
+    for (Probe* p : probes_) {
+      p->on_rmw(&f, rank_, prev + delta, Probe::kNoTime);
+    }
     return prev;
   }
 
@@ -220,13 +212,13 @@ class RealMachine::RealCtx final : public Ctx {
 
  private:
   Clock::time_point wait_deadline() const {
-    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(wait_timeout_));
+    const std::chrono::duration<double> timeout(m_.wait_timeout_);
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(timeout);
   }
 
   std::string chan_desc(const void* chan, std::uint64_t need) const {
     if (chan == &kBarrierChanToken) return "barrier";
-    std::string name = ledger_->flag_name(chan);
+    std::string name = m_.verify_ledger().flag_name(chan);
     if (name.empty()) {
       char buf[24];
       std::snprintf(buf, sizeof(buf), "%p", chan);
@@ -252,11 +244,11 @@ class RealMachine::RealCtx final : public Ctx {
     wait_->abort_rank.compare_exchange_strong(expected, rank_,
                                               std::memory_order_acq_rel);
     std::string msg = "watchdog: rank " + std::to_string(rank_) +
-                      " stalled > " + std::to_string(wait_timeout_) +
+                      " stalled > " + std::to_string(m_.wait_timeout_) +
                       "s waiting " +
                       (f != nullptr ? chan_desc(f, need) : "barrier");
     if (f != nullptr) {
-      const std::string snap = ledger_->flag_snapshot(f);
+      const std::string snap = m_.verify_ledger().flag_snapshot(f);
       if (!snap.empty()) msg += " [ledger: " + snap + "]";
     }
     msg += "; rank states: [";
@@ -274,17 +266,14 @@ class RealMachine::RealCtx final : public Ctx {
     throw util::Error(msg);
   }
 
+  const RealMachine& m_;
   const int rank_;
   const int size_;
   const int core_;
   const Clock::time_point t0_;
   CentralBarrier* const barrier_;
-  verify::Ledger* const ledger_;
+  const std::vector<Probe*> probes_;  // per-rank copy: no shared line
   WaitShared* const wait_;
-  const double wait_timeout_;
-  obs::HistSet* const wait_hist_;
-  obs::TimeSeries* const wait_series_;
-  const int wait_series_id_;
 };
 
 RealMachine::RealMachine(topo::Topology topo, int n_ranks,
@@ -335,8 +324,7 @@ RunResult RealMachine::run(const std::function<void(Ctx&)>& fn) {
   threads.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     threads.emplace_back([&, r] {
-      RealCtx ctx(r, n, map_.core_of(r), t0, &barrier, &verify_ledger(), &wait,
-                  wait_timeout_, wait_hist(), wait_series(), wait_series_id());
+      RealCtx ctx(*this, r, t0, &barrier, &wait);
       try {
         fn(ctx);
       } catch (...) {

@@ -17,7 +17,6 @@
 #include <unordered_map>
 
 #include "mach/machine.h"
-#include "sim/access_sink.h"
 #include "sim/cache_model.h"
 #include "sim/coh_stats.h"
 #include "sim/line_model.h"
@@ -57,22 +56,13 @@ class SimMachine final : public mach::Machine {
   bool coh_report(obs::CohReport* out) const override;
   void publish_coh_counters(obs::Metrics& m) override;
 
-  /// Exploration hooks (src/check/). The pick hook perturbs the scheduler's
-  /// run order; the access sink observes every flag/data operation. Both
-  /// default to null (zero behavioral change) and are installed on the
-  /// per-run scheduler by run(), so set them before run() and clear them —
-  /// set_pick_hook(nullptr) / set_access_sink(nullptr) — when done.
+  /// Exploration hook (src/check/): perturbs the scheduler's run order.
+  /// Null by default (zero behavioral change); installed on the per-run
+  /// scheduler by run(), so set it before run() and clear it —
+  /// set_pick_hook(nullptr) — when done.
   void set_pick_hook(VirtualScheduler::PickHook hook) {
     pick_hook_ = std::move(hook);
   }
-  void set_access_sink(AccessSink* sink) noexcept { access_ = sink; }
-
-  /// Erases the retained value history of every flag in [base, base+bytes).
-  /// For harnesses that place fresh flags into reused allocations (the
-  /// schedule interpreter): without this, a crossing recorded by a previous
-  /// occupant of the address would satisfy the new flag's waits instantly.
-  /// Call between runs, never during one.
-  void forget_flag_history(const void* base, std::size_t bytes);
 
   /// Test hooks.
   CacheModel& cache_model() noexcept { return cache_; }
@@ -121,7 +111,6 @@ class SimMachine final : public mach::Machine {
   std::unordered_map<const mach::Flag*, FlagHist> flag_hist_;
   std::unique_ptr<VirtualScheduler> sched_;  // alive during run()
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null
-  AccessSink* access_ = nullptr;             // exploration; usually null
   double epoch_ = 0.0;
 };
 

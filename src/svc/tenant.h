@@ -49,14 +49,17 @@ class TenantMachine final : public mach::Machine {
   /// and hands TenantCtx views to the tenant's component. Always throws.
   mach::RunResult run(const std::function<void(mach::Ctx&)>& fn) override;
 
-  /// The parent's ledger: tenant flags must be registered where the parent's
-  /// flag hooks look them up.
+  /// The parent's ledger and probe list: tenant flags must be registered in
+  /// the ledger that sees the parent's flag traffic, and probes attached
+  /// through a tenant observe the parent run that carries it.
   verify::Ledger& verify_ledger() noexcept override {
     return parent_->verify_ledger();
   }
   const verify::Ledger& verify_ledger() const noexcept override {
     return parent_->verify_ledger();
   }
+  void attach(mach::Probe* p) override { parent_->attach(p); }
+  void detach(mach::Probe* p) override { parent_->detach(p); }
 
   /// Coherence observatory rides on the parent's models.
   void set_coh_tracking(bool on) override { parent_->set_coh_tracking(on); }

@@ -1,7 +1,10 @@
 #include "util/str.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+
+#include "util/check.h"
 
 namespace xhc::util {
 
@@ -88,18 +91,39 @@ std::string Args::get(std::string_view key, std::string def) const {
   return def;
 }
 
-long Args::get_long(std::string_view key, long def) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtol(v.c_str(), nullptr, 10);
+namespace {
+
+/// Parses all of `v` with the strtol/strtod-style `parse`; garbage,
+/// trailing junk or an out-of-range value throws naming the flag.
+template <typename Parse>
+auto parse_number(std::string_view key, const std::string& v, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const auto x = parse(v.c_str(), &end);
+  const bool range = errno == ERANGE;
+  if (end == v.c_str() || *end != '\0' || range) {
+    throw Error("--" + std::string(key) + "=" + v +
+                (range ? ": out of range" : ": not a number"));
   }
-  return def;
+  return x;
+}
+
+}  // namespace
+
+long Args::get_long(std::string_view key, long def) const {
+  const std::string v = get(key, "");
+  if (v.empty()) return def;
+  return parse_number(key, v, [](const char* s, char** end) {
+    return std::strtol(s, end, 10);
+  });
 }
 
 double Args::get_double(std::string_view key, double def) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtod(v.c_str(), nullptr);
-  }
-  return def;
+  const std::string v = get(key, "");
+  if (v.empty()) return def;
+  return parse_number(key, v, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 }  // namespace xhc::util

@@ -28,6 +28,9 @@ class Args {
   std::string get(std::string_view key, std::string def) const;
   /// Every value given for a repeatable --key=value flag, in argv order.
   std::vector<std::string> get_all(std::string_view key) const;
+  /// Numeric values must parse in full: garbage, trailing junk or an
+  /// out-of-range value throws util::Error naming the flag. An empty value
+  /// (`--key=`) yields `def`.
   long get_long(std::string_view key, long def) const;
   double get_double(std::string_view key, double def) const;
 

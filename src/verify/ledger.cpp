@@ -227,6 +227,7 @@ void Ledger::check_published(Record& rec, const mach::Flag* f, int rank,
 
 void Ledger::on_observe(const mach::Flag* f, int rank, std::uint64_t observed,
                         double vtime) {
+  if (vtime == kNoTime) return;  // publish order needs a virtual clock
   std::lock_guard<std::mutex> lock(mu_);
   ++loads_;
   // A read must return an exactly-published value at or before `vtime`.
@@ -234,7 +235,9 @@ void Ledger::on_observe(const mach::Flag* f, int rank, std::uint64_t observed,
 }
 
 void Ledger::on_wait_resume(const mach::Flag* f, int rank,
-                            std::uint64_t threshold, double vtime) {
+                            std::uint64_t threshold, double vtime,
+                            double /*blocked*/) {
+  if (vtime == kNoTime) return;  // publish order needs a virtual clock
   std::lock_guard<std::mutex> lock(mu_);
   ++loads_;
   // A wait-ge may resume on any value >= threshold; require the crossing
@@ -329,15 +332,6 @@ Summary Ledger::summary() const {
   s.violations = violations_.size();
   s.expected_findings = expected_.size();
   return s;
-}
-
-void Ledger::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  violations_.clear();
-  expected_.clear();
-  stores_ = 0;
-  loads_ = 0;
 }
 
 std::string Ledger::flag_name(const void* addr) const {

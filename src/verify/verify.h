@@ -5,13 +5,13 @@
 // only after its release-store, and flags with distinct writers live on
 // distinct cache lines — used to be enforced by comment alone. This ledger
 // turns it into a runtime check: every Machine owns one, components register
-// their flags (name + writer policy), and checked builds (`-DXHC_VERIFY=ON`,
-// which defines XHC_VERIFY_ENABLED=1) route every flag store/load through it.
+// their flags (name + writer policy), and attaching it as the machine's
+// probe (`m.attach(&m.verify_ledger())`, the benches' --verify) routes every
+// flag store/load through it, in any build.
 //
-// The ledger itself is always compiled, so registration, the layout lint and
-// the direct API (used by tests and diagnostics) work in every build; only
-// the per-operation hooks inside RealMachine/SimMachine are gated, keeping
-// the hot path zero-cost when the toggle is off.
+// Registration, the layout lint and the direct API (used by tests and
+// diagnostics) work whether or not the ledger is attached; detached, the
+// flag hot path pays only the machine's empty-probe-list test.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +23,7 @@
 #include <vector>
 
 #include "mach/flag.h"
-
-#if !defined(XHC_VERIFY_ENABLED)
-#define XHC_VERIFY_ENABLED 0
-#endif
+#include "mach/probe.h"
 
 namespace xhc::verify {
 
@@ -96,13 +93,11 @@ struct LintItem {
   bool expect_shared = false;  ///< deliberately packed (Fig. 10 "shared")
 };
 
-/// Per-machine flag ledger. All methods are thread-safe (RealMachine calls
-/// the hooks from concurrent rank threads); SimMachine's single host thread
-/// pays one uncontended lock per op in checked builds.
-class Ledger {
+/// Per-machine flag ledger, attachable as the machine's probe. Thread-safe
+/// (RealMachine calls the hooks from concurrent rank threads). Without a
+/// virtual clock (kNoTime) the hooks skip the publish-order check.
+class Ledger final : public mach::Probe {
  public:
-  /// Sentinel for hooks called without a virtual clock (RealMachine).
-  static constexpr double kNoTime = -1.0;
 
   /// Declares a flag's name and writer policy. Idempotent; re-registering
   /// (e.g. a rebuilt component on a reused address) resets the record.
@@ -114,21 +109,21 @@ class Ledger {
   /// when `vtime` is a real timestamp, records the publish history used by
   /// the read-side cross-check.
   void on_store(const mach::Flag* f, int rank, std::uint64_t value,
-                double vtime = kNoTime);
+                double vtime = kNoTime) override;
   /// Same for an RMW (`result` is the post-op value). RMW is a violation on
   /// any flag not whitelisted as WriterPolicy::kShared.
   void on_rmw(const mach::Flag* f, int rank, std::uint64_t result,
-              double vtime = kNoTime);
+              double vtime = kNoTime) override;
 
-  // --- read side (SimMachine only) -----------------------------------------
+  // --- read side (virtual time only) ---------------------------------------
   /// A read returned `observed` at virtual time `vtime`: verifies the value
   /// was published at or before that time (publish ordering).
   void on_observe(const mach::Flag* f, int rank, std::uint64_t observed,
-                  double vtime);
+                  double vtime) override;
   /// A wait-for-`threshold` resumed at `vtime`: verifies a satisfying
   /// publish existed by then.
   void on_wait_resume(const mach::Flag* f, int rank, std::uint64_t threshold,
-                      double vtime);
+                      double vtime, double blocked = kNoTime) override;
 
   /// Drops every record in [base, base+bytes) — call on Machine::free so a
   /// reused address starts with a clean ledger.
@@ -154,7 +149,6 @@ class Ledger {
   std::vector<Violation> violations() const;
   std::vector<Violation> expected_findings() const;
   Summary summary() const;
-  void reset();
 
   /// Registered name of the flag at `addr` (the greatest record at or below
   /// it — flags are registered by base address), or "" when untracked. Used
@@ -169,9 +163,6 @@ class Ledger {
   /// for stall diagnostics; "" when untracked.
   std::string flag_snapshot(const void* addr) const;
 
-  Ledger() = default;
-  Ledger(const Ledger&) = delete;
-  Ledger& operator=(const Ledger&) = delete;
 
  private:
   struct Record {

@@ -24,7 +24,6 @@
 #include "coll/tuning.h"
 #include "core/xhc_component.h"
 #include "mach/machine.h"
-#include "sim/access_sink.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/prng.h"
@@ -39,57 +38,69 @@ using check::Op;
 // Conformance: model vs. real event stream
 // ---------------------------------------------------------------------------
 
+/// The flag operations the schedule model carries (it has no reads).
+enum class FlagOp : unsigned char { kStore, kRmw, kWaitEnter };
+
 struct FlagRec {
   const mach::Flag* flag = nullptr;
-  sim::AccessSink::FlagOp op = sim::AccessSink::FlagOp::kStore;
+  FlagOp op = FlagOp::kStore;
   std::uint64_t value = 0;
 };
 
 /// Records every store / wait-entry / RMW per rank. Ranks write disjoint
-/// vectors and the sink runs under the scheduler token, so no locking.
-class OpRecorder final : public sim::AccessSink {
+/// vectors and the probe runs under the scheduler token, so no locking.
+class OpRecorder final : public mach::Probe {
  public:
   explicit OpRecorder(int n) : per_rank(static_cast<std::size_t>(n)) {}
   std::vector<std::vector<FlagRec>> per_rank;
 
-  void on_flag(int rank, const mach::Flag* f, FlagOp op,
-               std::uint64_t value) override {
-    if (op == FlagOp::kRead) return;  // the model carries no read events
-    per_rank[static_cast<std::size_t>(rank)].push_back({f, op, value});
+  void on_store(const mach::Flag* f, int rank, std::uint64_t value,
+                double) override {
+    add(rank, {f, FlagOp::kStore, value});
   }
-  void on_data(int, const void*, std::size_t, bool) override {}
+  void on_rmw(const mach::Flag* f, int rank, std::uint64_t result,
+              double) override {
+    add(rank, {f, FlagOp::kRmw, result});
+  }
+  void on_wait_enter(const mach::Flag* f, int rank,
+                     std::uint64_t threshold) override {
+    add(rank, {f, FlagOp::kWaitEnter, threshold});
+  }
+
+ private:
+  void add(int rank, FlagRec rec) {
+    per_rank[static_cast<std::size_t>(rank)].push_back(rec);
+  }
 };
 
-const char* flag_op_name(sim::AccessSink::FlagOp op) {
+const char* flag_op_name(FlagOp op) {
   switch (op) {
-    case sim::AccessSink::FlagOp::kStore:
+    case FlagOp::kStore:
       return "store";
-    case sim::AccessSink::FlagOp::kRmw:
+    case FlagOp::kRmw:
       return "rmw";
-    case sim::AccessSink::FlagOp::kRead:
-      return "read";
-    case sim::AccessSink::FlagOp::kWaitEnter:
+    case FlagOp::kWaitEnter:
       return "wait";
   }
   return "?";
 }
 
-sim::AccessSink::FlagOp expected_op(check::EvKind k) {
+FlagOp expected_op(check::EvKind k) {
   switch (k) {
     case check::EvKind::kPublish:
-      return sim::AccessSink::FlagOp::kStore;
+      return FlagOp::kStore;
     case check::EvKind::kWait:
-      return sim::AccessSink::FlagOp::kWaitEnter;
+      return FlagOp::kWaitEnter;
     case check::EvKind::kRmw:
-      return sim::AccessSink::FlagOp::kRmw;
+      return FlagOp::kRmw;
   }
-  return sim::AccessSink::FlagOp::kStore;
+  return FlagOp::kStore;
 }
 
 /// Builds a fresh machine + component, extracts the first-op model, runs
 /// the same op once for real, and compares the streams position by
 /// position. Values are compared for publishes and waits; RMWs compare by
-/// position only (the model stores the delta, the sink the result).
+/// position only (the model stores the delta, the probe the result).
 void expect_conformance(const std::string& label, topo::Topology topo,
                         const coll::Tuning& tuning, Op op, std::size_t bytes,
                         int root) {
@@ -119,7 +130,7 @@ void expect_conformance(const std::string& label, topo::Topology topo,
   }
 
   OpRecorder rec(n);
-  machine.set_access_sink(&rec);
+  machine.attach(&rec);
   machine.run([&](mach::Ctx& ctx) {
     const int r = ctx.rank();
     switch (op) {
@@ -141,7 +152,7 @@ void expect_conformance(const std::string& label, topo::Topology topo,
         break;
     }
   });
-  machine.set_access_sink(nullptr);
+  machine.detach(&rec);
 
   if (op == Op::kBcast) {
     for (int r = 0; r < n; ++r) {
@@ -453,9 +464,9 @@ TEST(CheckExplorer, ExhaustsTinyModelTopologies) {
           check::extract_schedule(comp, op, bytes, 0);
       const check::Runner run =
           [&](const sim::VirtualScheduler::PickHook& hook,
-              sim::AccessSink* sink) {
+              mach::Probe* probe) {
             const check::InterpResult res = check::run_model(
-                model, machine, machine.verify_ledger(), hook, sink);
+                model, machine, machine.verify_ledger(), hook, probe);
             check::RunOutcome out;
             if (!res.ok()) {
               out.failed = true;
@@ -491,11 +502,11 @@ TEST(CheckExplorer, RealBcastPayloadUnderAllSchedules) {
   util::fill_pattern(ref.data(), kBytes, 7);
 
   const check::Runner run = [&](const sim::VirtualScheduler::PickHook& hook,
-                                sim::AccessSink* sink) {
+                                mach::Probe* probe) {
     for (int r = 1; r < 4; ++r) std::memset(buf[r].get(), 0, kBytes);
     std::memcpy(buf[0].get(), ref.data(), kBytes);
     machine.set_pick_hook(hook);
-    machine.set_access_sink(sink);
+    machine.attach(probe);
     check::RunOutcome out;
     try {
       machine.run([&](mach::Ctx& ctx) {
@@ -514,7 +525,7 @@ TEST(CheckExplorer, RealBcastPayloadUnderAllSchedules) {
       out.diag = e.what();
     }
     machine.set_pick_hook(nullptr);
-    machine.set_access_sink(nullptr);
+    machine.detach(probe);
     return out;
   };
 
@@ -558,10 +569,10 @@ TEST(CheckExplorer, FindsSeededDeadlock) {
   // A deadlocked machine is not reusable, so each execution gets a fresh
   // one; the origin's ledger still resolves the model's flag names.
   const check::Runner run = [&](const sim::VirtualScheduler::PickHook& hook,
-                                sim::AccessSink* sink) {
+                                mach::Probe* probe) {
     sim::SimMachine fresh(topo::flat(4), 4);
     const check::InterpResult res =
-        check::run_model(mutant, fresh, origin.verify_ledger(), hook, sink);
+        check::run_model(mutant, fresh, origin.verify_ledger(), hook, probe);
     check::RunOutcome out;
     if (!res.ok()) {
       out.failed = true;

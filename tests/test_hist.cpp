@@ -13,6 +13,7 @@
 #include "obs/export.h"
 #include "obs/hist.h"
 #include "obs/observer.h"
+#include "obs/wait_feed.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/prng.h"
@@ -86,7 +87,7 @@ TEST(Hist, PercentilesBoundSamples) {
   EXPECT_DOUBLE_EQ(h.max(), 1e-3);
   // p50/p90/p99 are upper bucket bounds: at or above the true quantile,
   // within one sub-bucket of it.
-  for (const auto [q, exact] : {std::pair{0.5, 500e-6},
+  for (const auto& [q, exact] : {std::pair{0.5, 500e-6},
                                 std::pair{0.9, 900e-6},
                                 std::pair{0.99, 990e-6}}) {
     const double p = h.percentile(q);
@@ -195,13 +196,14 @@ TEST(Hist, ZeroSampleExportIsHarmless) {
   EXPECT_NE(ts.str().find("empty"), std::string::npos);
 }
 
-// End-to-end on the simulator: with Tuning::hist on, the wait-hist machine
-// hook and the component sites fill every kind, deterministically.
+// End-to-end on the simulator: with Tuning::hist on, the flag-wait feed
+// probe and the component sites fill every kind, deterministically.
 TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
   auto collect = [] {
     sim::SimMachine machine(topo::mini8(), 8);
     Observer observer(8);
-    machine.set_wait_hist(&observer.hists());
+    WaitFeed feed(&observer.hists());
+    machine.attach(&feed);
     coll::Tuning tuning;
     tuning.trace = true;
     tuning.hist = true;
@@ -216,7 +218,7 @@ TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
       comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
                   kBytes, 0);
     });
-    machine.set_wait_hist(nullptr);
+    machine.detach(&feed);
 
     std::ostringstream os;
     write_hist_json(os, named_hists(observer.hists()), "det");

@@ -112,7 +112,7 @@ TYPED_TEST(MachineTest, FetchAddReturnsPrevious) {
   auto m = make_machine<TypeParam>(4);
   auto* flag = static_cast<mach::Flag*>(m->alloc(0, sizeof(mach::Flag)));
   // Every rank fetch-adds this flag, so whitelist it for the protocol
-  // verifier the way the Fig. 4 atomic_ctr is (checked builds only).
+  // ledger the way the Fig. 4 atomic_ctr is (checked while attached).
   m->verify_ledger().register_flag(flag, "test.fetch_add_ctr",
                                    verify::WriterPolicy::kShared);
   std::atomic<std::uint64_t> sum_prev{0};

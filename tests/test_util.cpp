@@ -160,6 +160,47 @@ TEST(Str, ArgsParsing) {
   EXPECT_EQ(args.get("missing", "def"), "def");
 }
 
+/// Message of the util::Error `f` throws, or "" when it does not throw.
+template <typename F>
+std::string error_of(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Str, ArgsRejectGarbageNumbers) {
+  const char* argv[] = {"prog", "--jobs=abc", "--rate=fast"};
+  Args args(3, const_cast<char**>(argv));
+  const std::string l = error_of([&] { (void)args.get_long("jobs", 1); });
+  EXPECT_NE(l.find("--jobs=abc"), std::string::npos) << l;
+  const std::string d = error_of([&] { (void)args.get_double("rate", 1.0); });
+  EXPECT_NE(d.find("--rate=fast"), std::string::npos) << d;
+}
+
+TEST(Str, ArgsRejectTrailingJunk) {
+  const char* argv[] = {"prog", "--jobs=4x", "--rate=1.5us"};
+  Args args(3, const_cast<char**>(argv));
+  const std::string l = error_of([&] { (void)args.get_long("jobs", 1); });
+  EXPECT_NE(l.find("--jobs=4x"), std::string::npos) << l;
+  const std::string d = error_of([&] { (void)args.get_double("rate", 1.0); });
+  EXPECT_NE(d.find("--rate=1.5us"), std::string::npos) << d;
+}
+
+TEST(Str, ArgsRejectOutOfRange) {
+  const char* argv[] = {"prog", "--seed=99999999999999999999999",
+                        "--rate=1e999"};
+  Args args(3, const_cast<char**>(argv));
+  const std::string l = error_of([&] { (void)args.get_long("seed", 1); });
+  EXPECT_NE(l.find("--seed="), std::string::npos) << l;
+  EXPECT_NE(l.find("out of range"), std::string::npos) << l;
+  const std::string d = error_of([&] { (void)args.get_double("rate", 1.0); });
+  EXPECT_NE(d.find("--rate=1e999"), std::string::npos) << d;
+  EXPECT_NE(d.find("out of range"), std::string::npos) << d;
+}
+
 TEST(Prng, Deterministic) {
   SplitMix64 a(7);
   SplitMix64 b(7);

@@ -1,8 +1,8 @@
 // Protocol verifier tests (src/verify/): negative tests seed deliberate
 // violations through the direct ledger API — second writer, decreasing
 // sequence, packed layout — and assert each is reported with the offending
-// rank and flag identity. The e2e section (checked builds only) routes the
-// same violations through real Machine flag traffic.
+// rank and flag identity. The e2e section attaches the ledger to a machine
+// at run time and routes the same violations through real flag traffic.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,7 +25,7 @@ bool contains(const std::string& haystack, const std::string& needle) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct ledger API (every build: the ledger is always compiled).
+// Direct ledger API (no machine involved).
 
 TEST(VerifyLedger, SecondWriterReportedWithRankAndFlag) {
   verify::Ledger ledger;
@@ -211,8 +211,8 @@ TEST(VerifyLedger, SummaryCountsOperations) {
 }
 
 // ---------------------------------------------------------------------------
-// Layout registration over a real control block (every build: registration
-// and the lint are not gated).
+// Layout registration over a real control block (registration and the lint
+// work whether or not the ledger is attached).
 
 TEST(VerifyLayout, GroupCtlRegistersCleanWithExpectedFig10Finding) {
   sim::SimMachine m(topo::mini8(), 8);
@@ -265,13 +265,12 @@ TEST(VerifyLayout, ShardPlaneRegistersCleanPerRankSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end through Machine flag traffic (checked builds only: the
-// per-operation hooks are compiled out otherwise).
-
-#if XHC_VERIFY_ENABLED
+// End-to-end through Machine flag traffic, with the ledger attached as the
+// machine's probe.
 
 TEST(VerifyE2E, SimSecondWriterThrowsNamingRank) {
   sim::SimMachine m(topo::mini8(), 2);
+  m.attach(&m.verify_ledger());
   auto* f = static_cast<mach::Flag*>(m.alloc(0, sizeof(mach::Flag)));
   m.verify_ledger().register_flag(f, "e2e.owned");
   try {
@@ -291,6 +290,7 @@ TEST(VerifyE2E, SimSecondWriterThrowsNamingRank) {
 
 TEST(VerifyE2E, RealNonMonotonicThrowsNamingRank) {
   mach::RealMachine m(topo::mini8(), 1);
+  m.attach(&m.verify_ledger());
   auto* f = static_cast<mach::Flag*>(m.alloc(0, sizeof(mach::Flag)));
   m.verify_ledger().register_flag(f, "e2e.seq");
   try {
@@ -309,6 +309,7 @@ TEST(VerifyE2E, RealNonMonotonicThrowsNamingRank) {
 
 TEST(VerifyE2E, DisciplinedTrafficIsClean) {
   sim::SimMachine m(topo::mini8(), 4);
+  m.attach(&m.verify_ledger());
   const int n = 4;
   std::vector<mach::Flag*> flags;
   for (int r = 0; r < n; ++r) {
@@ -329,15 +330,6 @@ TEST(VerifyE2E, DisciplinedTrafficIsClean) {
   EXPECT_GE(s.loads_checked, 12u);   // 4 ranks x 3 waits
   for (auto* f : flags) m.free(f);
 }
-
-#else  // !XHC_VERIFY_ENABLED
-
-TEST(VerifyE2E, HooksRequireCheckedBuild) {
-  GTEST_SKIP() << "machine hooks are compiled out; configure with "
-                  "-DXHC_VERIFY=ON (scripts/check.sh verify) to run these";
-}
-
-#endif  // XHC_VERIFY_ENABLED
 
 }  // namespace
 }  // namespace xhc
