@@ -19,6 +19,7 @@
 // whether or not a CohStats is attached/enabled.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,6 +27,7 @@
 #include "sim/coh_stats.h"
 #include "sim/params.h"
 #include "topo/topology.h"
+#include "util/cacheline.h"
 
 namespace xhc::sim {
 
@@ -57,6 +59,20 @@ class LineModel {
   std::uint64_t store_seq(const void* addr) const noexcept;
   /// Current owning core of `addr`'s line (-1 when never written).
   int owner_of(const void* addr) const noexcept;
+
+  /// Drops the state of every line inside [base, base + bytes) (the
+  /// memory was freed) and calls `gone(line)` for each line that had
+  /// state, so a later occupant of those addresses starts cold.
+  template <typename Fn>
+  void forget(const void* base, std::size_t bytes, Fn&& gone) {
+    const auto* b = static_cast<const std::byte*>(base);
+    auto it = lines_.lower_bound(util::line_of(b));
+    const auto end = lines_.upper_bound(util::line_of(b + bytes - 1));
+    while (it != end) {
+      gone(it->first);
+      it = lines_.erase(it);
+    }
+  }
 
   void reset();
 

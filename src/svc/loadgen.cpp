@@ -374,6 +374,8 @@ LoadgenResult run_loadgen(CommRegistry& reg,
     }
   };
 
+  const mach::ScopedProbe wait_probe(
+      parent, tele != nullptr ? tele->wait_probe() : nullptr);
   const mach::RunResult rr = parent.run([&](mach::Ctx& ctx) {
     const int pr = ctx.rank();
     for (const Request& r : schedule) {

@@ -2,6 +2,7 @@
 // publishing, and SimMachine end-to-end attribution (ISSUE 6).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -169,6 +170,21 @@ TEST_F(LineModelCohTest, ResetClearsAllState) {
   EXPECT_TRUE(stats_.lines().empty());
   EXPECT_TRUE(stats_.hitm_pairs().empty());
   EXPECT_TRUE(stats_.active_cores().empty());
+}
+
+TEST_F(LineModelCohTest, ForgetDropsOnlyTheFreedLines) {
+  for (const int id : {1, 2, 3, 4}) lines_.write(ln(id), 0, 0.0);
+  std::vector<std::uintptr_t> gone;
+  // Lines 2 and 3, entered mid-line: every line the range touches goes.
+  lines_.forget(static_cast<const std::byte*>(ln(2)) + 8, 64,
+                [&gone](std::uintptr_t line) { gone.push_back(line); });
+  EXPECT_EQ(gone, (std::vector<std::uintptr_t>{2, 3}));
+  EXPECT_EQ(lines_.owner_of(ln(1)), 0);
+  EXPECT_EQ(lines_.owner_of(ln(2)), -1);
+  EXPECT_EQ(lines_.owner_of(ln(3)), -1);
+  EXPECT_EQ(lines_.owner_of(ln(4)), 0);
+  // The freed line reads cold again instead of from the old owner.
+  EXPECT_DOUBLE_EQ(lines_.read(ln(2), 8, 10.0), 10.0 + params_.line_hit);
 }
 
 TEST_F(LineModelCohTest, PerCoreAttributionAndSpinRefetchHook) {
