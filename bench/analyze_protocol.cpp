@@ -1,5 +1,7 @@
-// Protocol analyzer driver: static schedule verification over whole
-// preset x op x size-class grids, without executing a single collective.
+// Protocol analyzer driver: schedule verification over whole preset x op x
+// size-class grids. Each cell runs its operation once on the simulated
+// machine to record the schedule, then proves properties of every
+// interleaving of it.
 //
 //   analyze_protocol                     # sweep everything, text reports
 //   analyze_protocol --preset=mini8      # one target
@@ -7,7 +9,7 @@
 //   analyze_protocol --json --out=schedules.json
 //   analyze_protocol --tune=xhc_stripe_threshold=4096
 //
-// Each cell extracts the first-op ScheduleModel from a freshly built
+// Each cell records the first-op ScheduleModel on a freshly built
 // component and runs every analyzer check (single-writer, monotonicity,
 // threshold reachability, acyclicity, slot reuse, payload coverage).
 // Output is byte-deterministic; the exit status is the total finding
@@ -23,6 +25,7 @@
 #include "check/schedule_model.h"
 #include "coll/tuning.h"
 #include "core/xhc_component.h"
+#include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/check.h"
@@ -63,7 +66,7 @@ const std::vector<std::size_t> kSizes = {512, 32768, 262144};
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const std::string only_preset = args.get("preset", "");
   const std::string only_op = args.get("op", "");
@@ -89,7 +92,6 @@ int main(int argc, char** argv) {
     topo::Topology topo = target_by_name(target);
     const int ranks = topo.n_cores();
     sim::SimMachine machine(std::move(topo), ranks);
-    core::XhcComponent comp(machine, tuning, "analyze");
     for (const OpSpec& spec : kOps) {
       if (!only_op.empty() && only_op != spec.name) continue;
       std::vector<std::size_t> sizes = kSizes;
@@ -99,8 +101,9 @@ int main(int argc, char** argv) {
         if (spec.op == check::Op::kBarrier) sizes = {0};
       }
       for (const std::size_t bytes : sizes) {
+        core::XhcComponent comp(machine, tuning, "analyze");
         const check::ScheduleModel model =
-            check::extract_schedule(comp, spec.op, bytes, root);
+            check::record_schedule(machine, comp, spec.op, bytes, root);
         const check::AnalysisReport rep =
             check::analyze(model, machine.verify_ledger());
         total_findings += rep.findings.size();
@@ -133,4 +136,8 @@ int main(int argc, char** argv) {
     std::cout << body;
   }
   return total_findings == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return xhc::osu::guarded_main([&] { return run(argc, argv); });
 }

@@ -14,7 +14,7 @@ static int run(int argc, char** argv) {
 
   util::Table table({"System", "Component", "Total (ms)", "In-coll (ms)",
                      "RegCache hit%"});
-  for (const auto system : topo::paper_systems()) {
+  for (const auto system : args.systems()) {
     for (const char* comp_name : {"xhc", "tuned", "ucc", "smhc"}) {
       auto machine = bench::make_system(system);
       auto comp = coll::make_component(comp_name, *machine);

@@ -19,10 +19,11 @@ static int run(int argc, char** argv) {
       {"1K refinement levels", apps::miniamr_1k_levels()},
   };
 
+  const auto systems = args.systems();
   for (const auto& [label, base_config] : configs) {
     util::Table table(
         {"System", "Component", "Total (ms)", "In-coll (ms)", "Calls"});
-    for (const auto system : topo::paper_systems()) {
+    for (const auto system : systems) {
       for (const char* comp_name : {"xhc", "tuned", "ucc", "xbrc"}) {
         auto machine = bench::make_system(system);
         auto comp = coll::make_component(comp_name, *machine);

@@ -41,9 +41,10 @@
 #                               # (incl. --selftest) + run-clang-tidy over
 #                               # src/ with warnings-as-errors (skipped
 #                               # with a note when clang-tidy is absent)
-#   scripts/check.sh analyze    # static schedule verification: the
-#                               # analyzer sweep over every preset x op x
-#                               # size class (build/bench/analyze_protocol)
+#   scripts/check.sh analyze    # schedule verification: records each
+#                               # preset x op x size class from one
+#                               # simulated run and analyzes it statically
+#                               # (build/bench/analyze_protocol)
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh thread -R Obs
@@ -351,11 +352,12 @@ case "$mode" in
     exit 0
     ;;
   analyze)
-    # Static schedule verification (DESIGN.md § Static analysis): build the
-    # analyzer driver and sweep every preset x op x size class, verifying
-    # single-writer discipline, monotonicity, threshold reachability,
-    # deadlock-freedom (acyclicity), slot reuse, and payload coverage on
-    # the pre-execution schedules. Extra args are forwarded to the driver
+    # Schedule verification (DESIGN.md § Static analysis): build the
+    # analyzer driver and sweep every preset x op x size class, recording
+    # each schedule from one simulated run and verifying single-writer
+    # discipline, monotonicity, threshold reachability, deadlock-freedom
+    # (acyclicity), slot reuse, and payload coverage on it for every
+    # interleaving the flags allow. Extra args are forwarded to the driver
     # (e.g. --preset=mini8 --op=bcast --json).
     cmake -B build -S .
     cmake --build build -j --target analyze_protocol

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "verify/verify.h"
@@ -28,23 +27,42 @@ const char* to_string(Property p) noexcept {
   return "?";
 }
 
+std::map<const mach::Flag*, FlagUse> index_flags(
+    const ScheduleModel& m, const verify::Ledger& names) {
+  std::map<const mach::Flag*, FlagUse> out;
+  for (int r = 0; r < m.n_ranks; ++r) {
+    const auto& stream = m.per_rank[static_cast<std::size_t>(r)];
+    for (int i = 0; i < static_cast<int>(stream.size()); ++i) {
+      const Event& e = stream[static_cast<std::size_t>(i)];
+      FlagUse& fu = out[e.flag];
+      if (fu.name.empty()) {
+        fu.name = names.flag_name(e.flag);
+        if (fu.name.empty()) {
+          fu.name = "unregistered#" + std::to_string(out.size());
+        }
+        fu.policy = names.flag_policy(e.flag).value_or(
+            verify::WriterPolicy::kFixed);
+      }
+      const EventRef ref{r, i};
+      switch (e.kind) {
+        case EvKind::kPublish:
+          fu.publishes.push_back(ref);
+          break;
+        case EvKind::kRmw:
+          fu.rmws.push_back(ref);
+          break;
+        case EvKind::kWait:
+          fu.waits.push_back(ref);
+          break;
+      }
+    }
+  }
+  return out;
+}
+
 namespace {
 
-struct Ref {
-  int rank = -1;
-  int idx = -1;
-  bool valid() const noexcept { return rank >= 0; }
-};
-
-/// All events touching one flag, in (rank, program-index) order — which is
-/// the writer's program order whenever the flag really has one writer.
-struct FlagUse {
-  std::string name;
-  verify::WriterPolicy policy = verify::WriterPolicy::kFixed;
-  std::vector<Ref> publishes;
-  std::vector<Ref> rmws;
-  std::vector<Ref> waits;
-};
+using Ref = EventRef;
 
 class Analysis {
  public:
@@ -88,34 +106,8 @@ class Analysis {
           static_cast<int>(m_.per_rank[static_cast<std::size_t>(r)].size());
     }
     n_nodes_ = offset_.back();
-    for (int r = 0; r < m_.n_ranks; ++r) {
-      const auto& stream = m_.per_rank[static_cast<std::size_t>(r)];
-      for (int i = 0; i < static_cast<int>(stream.size()); ++i) {
-        const Event& e = stream[static_cast<std::size_t>(i)];
-        FlagUse& fu = flags_[e.flag];
-        if (fu.name.empty()) {
-          fu.name = ledger_.flag_name(e.flag);
-          if (fu.name.empty()) {
-            fu.name = "unregistered#" + std::to_string(flags_.size());
-          }
-          fu.policy = ledger_.flag_policy(e.flag).value_or(
-              verify::WriterPolicy::kFixed);
-        }
-        const Ref ref{r, i};
-        switch (e.kind) {
-          case EvKind::kPublish:
-            fu.publishes.push_back(ref);
-            break;
-          case EvKind::kRmw:
-            fu.rmws.push_back(ref);
-            break;
-          case EvKind::kWait:
-            fu.waits.push_back(ref);
-            ++rep_.n_waits;
-            break;
-        }
-      }
-    }
+    flags_ = index_flags(m_, ledger_);
+    for (const auto& [flag, fu] : flags_) rep_.n_waits += fu.waits.size();
     rep_.n_events = static_cast<std::size_t>(n_nodes_);
     rep_.n_flags = flags_.size();
   }
@@ -334,10 +326,10 @@ class Analysis {
   }
 
   // --- payload coverage + slot reuse ---------------------------------------
-  static bool slotted_site(const char* site) {
-    const std::string_view s(site);
-    return s == "rs.src_wait" || s == "ag.piece_wait" ||
-           s == "stripe.ready_wait";
+  /// Waits on the slotted shard timelines: the reduce-scatter/allgather
+  /// `prog` counters and the striped bcast's `stripe_ready` counters.
+  static bool slotted_site(const std::string& site) {
+    return site == "prog.wait" || site == "stripe_ready.wait";
   }
 
   void check_coverage() {
@@ -361,27 +353,11 @@ class Analysis {
           }
         }
 
+        if (we.needs.empty()) continue;
+        const std::vector<DataRange> declared =
+            declared_writes(m_, p.rank, p.idx);
         for (const DataRange& need : we.needs) {
-          // Union of the satisfying writer's declared coverage, up to and
-          // including the satisfier, on this buffer at a sufficient epoch.
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-          const auto& stream =
-              m_.per_rank[static_cast<std::size_t>(p.rank)];
-          for (int i = 0; i <= p.idx; ++i) {
-            const Event& e = stream[static_cast<std::size_t>(i)];
-            if (e.kind != EvKind::kPublish) continue;
-            for (const DataRange& wr : e.writes) {
-              if (wr.buf == need.buf && wr.epoch >= need.epoch) {
-                got.emplace_back(wr.lo, wr.hi);
-              }
-            }
-          }
-          std::sort(got.begin(), got.end());
-          std::uint64_t pos = need.lo;
-          for (const auto& [lo, hi] : got) {
-            if (lo > pos) break;
-            pos = std::max(pos, hi);
-          }
+          const std::uint64_t pos = coverage_reach(declared, need);
           if (pos < need.hi) {
             add(Property::kCoverage, fu, w,
                 "needs " + m_.buf_name(need.buf) + " [" +

@@ -1,5 +1,5 @@
 // Static schedule analyzer: proves per-operation protocol properties on a
-// ScheduleModel without executing a collective.
+// recorded ScheduleModel, for every interleaving its flags allow.
 //
 // Checked properties (one Finding per violation):
 //   single-writer           at most one rank publishes each non-kShared flag
@@ -25,14 +25,12 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "check/schedule_model.h"
-
-namespace xhc::verify {
-class Ledger;
-}
+#include "verify/verify.h"
 
 namespace xhc::check {
 
@@ -71,6 +69,29 @@ struct AnalysisReport {
   /// Deterministic machine-readable JSON object.
   std::string json() const;
 };
+
+/// One event's position in a model: rank and program index.
+struct EventRef {
+  int rank = -1;
+  int idx = -1;
+  bool valid() const noexcept { return rank >= 0; }
+};
+
+/// Every event touching one flag, in (rank, program-index) order — the
+/// writer's program order whenever the flag has one writer — with the
+/// flag's registered name and writer policy.
+struct FlagUse {
+  std::string name;
+  verify::WriterPolicy policy = verify::WriterPolicy::kFixed;
+  std::vector<EventRef> publishes;
+  std::vector<EventRef> rmws;
+  std::vector<EventRef> waits;
+};
+
+/// Indexes `m` by flag; `names` resolves names and policies (an
+/// unregistered flag is "unregistered#<n>", policy kFixed).
+std::map<const mach::Flag*, FlagUse> index_flags(const ScheduleModel& m,
+                                                 const verify::Ledger& names);
 
 /// Runs every check on `m`. `ledger` resolves flag names and writer
 /// policies (the same registration the runtime verifier uses), so the

@@ -30,19 +30,9 @@ struct Coverage {
   void require(const ScheduleModel& m, int rank, const Event& e) {
     std::lock_guard<std::mutex> lock(mu);
     for (const DataRange& need : e.needs) {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
       auto it = by_buf.find(need.buf);
-      if (it != by_buf.end()) {
-        for (const DataRange& w : it->second) {
-          if (w.epoch >= need.epoch) got.emplace_back(w.lo, w.hi);
-        }
-      }
-      std::sort(got.begin(), got.end());
-      std::uint64_t pos = need.lo;
-      for (const auto& [lo, hi] : got) {
-        if (lo > pos) break;
-        pos = std::max(pos, hi);
-      }
+      const std::uint64_t pos =
+          it == by_buf.end() ? need.lo : coverage_reach(it->second, need);
       if (pos < need.hi && errors.size() < kMaxErrors) {
         errors.push_back(
             "r" + std::to_string(rank) + " " + e.site + " resumed needing " +
@@ -64,7 +54,7 @@ InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
               machine.n_ranks(), " ranks, model needs ", m.n_ranks);
 
   // Fresh flags, one cache line each, in first-appearance order — the run
-  // must not touch whatever component the model was extracted from
+  // must not touch whatever component the model was recorded from
   // (mutants would corrupt live protocol state).
   std::map<const mach::Flag*, mach::Flag*> fresh;
   std::vector<const mach::Flag*> order;

@@ -36,67 +36,12 @@ bool MutantInfo::killed_by(const Finding& f) const {
 
 namespace {
 
-struct Ref {
-  int rank = -1;
-  int idx = -1;
-};
+using Ref = EventRef;
+using Flags = std::map<const mach::Flag*, FlagUse>;
 
 Event& at(ScheduleModel& m, Ref ref) {
   return m.per_rank[static_cast<std::size_t>(ref.rank)]
                    [static_cast<std::size_t>(ref.idx)];
-}
-
-struct Use {
-  std::vector<Ref> pubs;  ///< (rank, idx) order = writer program order
-  std::vector<Ref> rmws;
-  verify::WriterPolicy policy = verify::WriterPolicy::kFixed;
-  std::string name;
-};
-
-std::map<const mach::Flag*, Use> index_flags(const ScheduleModel& m,
-                                             const verify::Ledger& names) {
-  std::map<const mach::Flag*, Use> out;
-  for (int r = 0; r < m.n_ranks; ++r) {
-    const auto& stream = m.per_rank[static_cast<std::size_t>(r)];
-    for (int i = 0; i < static_cast<int>(stream.size()); ++i) {
-      const Event& e = stream[static_cast<std::size_t>(i)];
-      Use& u = out[e.flag];
-      if (u.name.empty()) {
-        u.name = names.flag_name(e.flag);
-        u.policy = names.flag_policy(e.flag).value_or(
-            verify::WriterPolicy::kFixed);
-      }
-      if (e.kind == EvKind::kPublish) u.pubs.push_back(Ref{r, i});
-      if (e.kind == EvKind::kRmw) u.rmws.push_back(Ref{r, i});
-    }
-  }
-  return out;
-}
-
-/// True when `need` lies inside the union of the coverage rank `writer`
-/// has declared up to and including event `upto` — the same rule the
-/// analyzer applies, reused here so threshold-low candidates are only
-/// sites where the lowered wait genuinely outruns the data.
-bool covered(const ScheduleModel& m, int writer, int upto,
-             const DataRange& need) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-  const auto& stream = m.per_rank[static_cast<std::size_t>(writer)];
-  for (int i = 0; i <= upto; ++i) {
-    const Event& e = stream[static_cast<std::size_t>(i)];
-    if (e.kind != EvKind::kPublish) continue;
-    for (const DataRange& wr : e.writes) {
-      if (wr.buf == need.buf && wr.epoch >= need.epoch) {
-        got.emplace_back(wr.lo, wr.hi);
-      }
-    }
-  }
-  std::sort(got.begin(), got.end());
-  std::uint64_t pos = need.lo;
-  for (const auto& [lo, hi] : got) {
-    if (lo > pos) break;
-    pos = std::max(pos, hi);
-  }
-  return pos >= need.hi;
 }
 
 /// Deterministic scan of every wait event, innermost loop over ranks then
@@ -113,17 +58,21 @@ void each_wait(ScheduleModel& m, Fn&& fn) {
 }
 
 MutantInfo threshold_low(ScheduleModel& m, std::uint64_t seed,
-                         std::map<const mach::Flag*, Use>& flags) {
+                         Flags& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) {
     const Event& we = at(m, w);
     if (we.needs.empty()) return;
-    const Use& u = flags[we.flag];
-    if (u.policy == verify::WriterPolicy::kShared || u.pubs.empty()) return;
-    const Event& fp = at(m, u.pubs.front());
-    if (fp.value >= we.value) return;
+    const FlagUse& u = flags[we.flag];
+    if (u.policy == verify::WriterPolicy::kShared || u.publishes.empty()) return;
+    const Ref first = u.publishes.front();
+    if (at(m, first).value >= we.value) return;
+    // Only sites where the lowered wait genuinely outruns the data, by the
+    // analyzer's own coverage rule.
+    const std::vector<DataRange> declared =
+        declared_writes(m, first.rank, first.idx);
     for (const DataRange& need : we.needs) {
-      if (!covered(m, u.pubs.front().rank, u.pubs.front().idx, need)) {
+      if (coverage_reach(declared, need) < need.hi) {
         cands.push_back(w);
         return;
       }
@@ -134,9 +83,9 @@ MutantInfo threshold_low(ScheduleModel& m, std::uint64_t seed,
   if (cands.empty()) return info;
   const Ref w = cands[util::SplitMix64(seed).next_below(cands.size())];
   Event& we = at(m, w);
-  const Use& u = flags[we.flag];
+  const FlagUse& u = flags[we.flag];
   const std::uint64_t old = we.value;
-  we.value = at(m, u.pubs.front()).value;
+  we.value = at(m, u.publishes.front()).value;
   info.applied = true;
   info.flag = u.name;
   info.rank = w.rank;
@@ -148,7 +97,7 @@ MutantInfo threshold_low(ScheduleModel& m, std::uint64_t seed,
 }
 
 MutantInfo threshold_high(ScheduleModel& m, std::uint64_t seed,
-                          std::map<const mach::Flag*, Use>& flags) {
+                          Flags& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) { cands.push_back(w); });
   MutantInfo info;
@@ -156,12 +105,12 @@ MutantInfo threshold_high(ScheduleModel& m, std::uint64_t seed,
   if (cands.empty()) return info;
   const Ref w = cands[util::SplitMix64(seed).next_below(cands.size())];
   Event& we = at(m, w);
-  const Use& u = flags[we.flag];
+  const FlagUse& u = flags[we.flag];
   std::uint64_t reach = 0;
   if (u.policy == verify::WriterPolicy::kShared) {
     for (const Ref p : u.rmws) reach += at(m, p).value;
   } else {
-    for (const Ref p : u.pubs) reach = std::max(reach, at(m, p).value);
+    for (const Ref p : u.publishes) reach = std::max(reach, at(m, p).value);
   }
   const std::uint64_t old = we.value;
   we.value = reach + 1;
@@ -176,13 +125,13 @@ MutantInfo threshold_high(ScheduleModel& m, std::uint64_t seed,
 }
 
 MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
-                           std::map<const mach::Flag*, Use>& flags) {
+                           Flags& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) {
     const Event& we = at(m, w);
-    const Use& u = flags[we.flag];
+    const FlagUse& u = flags[we.flag];
     if (u.policy == verify::WriterPolicy::kShared) return;
-    for (const Ref p : u.pubs) {
+    for (const Ref p : u.publishes) {
       if (at(m, p).value >= we.value) {
         cands.push_back(w);
         return;
@@ -196,7 +145,7 @@ MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
   const Event& we = at(m, w);
   const mach::Flag* flag = we.flag;
   const std::uint64_t threshold = we.value;
-  const Use& u = flags[flag];
+  const FlagUse& u = flags[flag];
   info.applied = true;
   info.flag = u.name;
   info.rank = w.rank;
@@ -206,7 +155,7 @@ MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
   // Erase highest index first so earlier refs stay valid; all publishes of
   // a single-writer flag live in one rank's stream.
   std::vector<Ref> drop;
-  for (const Ref p : u.pubs) {
+  for (const Ref p : u.publishes) {
     if (at(m, p).value >= threshold) drop.push_back(p);
   }
   std::sort(drop.begin(), drop.end(), [](const Ref& a, const Ref& b) {
@@ -220,7 +169,7 @@ MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
 }
 
 MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
-                               std::map<const mach::Flag*, Use>& flags) {
+                               Flags& flags) {
   // Candidate: publish P (rank r) that is the ONLY satisfier of wait W
   // (rank q != r), with a later wait V of r whose earliest satisfier is a
   // publish of q issued after W. Moving P behind V makes the two ranks
@@ -232,11 +181,11 @@ MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
   std::vector<Cand> cands;
   each_wait(m, [&](Ref w) {
     const Event& we = at(m, w);
-    const Use& u = flags[we.flag];
+    const FlagUse& u = flags[we.flag];
     if (u.policy == verify::WriterPolicy::kShared) return;
     Ref p{-1, -1};
     int n_sat = 0;
-    for (const Ref cand : u.pubs) {
+    for (const Ref cand : u.publishes) {
       if (at(m, cand).value >= we.value) {
         p = cand;
         ++n_sat;
@@ -249,9 +198,9 @@ MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
     for (int i = p.idx + 1; i < static_cast<int>(rs.size()); ++i) {
       const Event& ve = rs[static_cast<std::size_t>(i)];
       if (ve.kind != EvKind::kWait || ve.flag == we.flag) continue;
-      const Use& vu = flags[ve.flag];
+      const FlagUse& vu = flags[ve.flag];
       if (vu.policy == verify::WriterPolicy::kShared) continue;
-      for (const Ref vp : vu.pubs) {
+      for (const Ref vp : vu.publishes) {
         if (at(m, vp).value < ve.value) continue;
         if (vp.rank == q && vp.idx > w.idx) cands.push_back(Cand{p, w});
         break;  // earliest satisfier decided
@@ -268,7 +217,7 @@ MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
   const Cand c = cands[util::SplitMix64(seed).next_below(cands.size())];
   auto& stream = m.per_rank[static_cast<std::size_t>(c.pub.rank)];
   Event moved = std::move(stream[static_cast<std::size_t>(c.pub.idx)]);
-  const Use& u = flags[moved.flag];
+  const FlagUse& u = flags[moved.flag];
   info.applied = true;
   info.expect = {Property::kWaitCycle};
   info.detail = "deferred r" + std::to_string(c.pub.rank) + " " +
@@ -280,7 +229,7 @@ MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
 }
 
 MutantInfo widened_writer(ScheduleModel& m, std::uint64_t seed,
-                          std::map<const mach::Flag*, Use>& flags) {
+                          Flags& flags) {
   std::vector<Ref> cands;
   for (int r = 0; r < m.n_ranks; ++r) {
     const int n =
@@ -303,9 +252,9 @@ MutantInfo widened_writer(ScheduleModel& m, std::uint64_t seed,
            static_cast<std::uint64_t>(m.n_ranks - 1)))) %
       m.n_ranks;
   Event dup = at(m, p);
-  const Use& u = flags[dup.flag];
+  const FlagUse& u = flags[dup.flag];
   const int owner_pubs = static_cast<int>(std::count_if(
-      u.pubs.begin(), u.pubs.end(),
+      u.publishes.begin(), u.publishes.end(),
       [&](const Ref ref) { return ref.rank == p.rank; }));
   info.applied = true;
   info.flag = u.name;

@@ -1,31 +1,24 @@
-// Static schedule model: the flag protocol of one collective, extracted
-// without running it.
+// Schedule model: the flag protocol of one collective, recorded from the
+// real run.
 //
-// The runtime protocols (core/bcast.cpp, core/allreduce.cpp,
-// core/xhc_component.cpp) synchronize exclusively through monotone
-// cumulative flags whose writers, waiters and thresholds are pure functions
-// of structures that exist before any rank executes: the comm tree, the
-// GroupCtl/ShardCtl registration, the ShardPlan timelines and the tuning.
-// extract_schedule() walks those same structures and emits, per rank in
-// program order, every flag publish (with the payload coverage it
-// guarantees), every blocking wait (with its threshold and the payload
-// bytes read after resume), and every RMW — producing a model the analyzer
-// (analyzer.h) can prove properties about and the explorer (explore.h) can
-// execute under systematic interleaving.
+// XHC synchronizes only through monotone cumulative flags with one writer
+// each (paper §III-E), so each rank's flag stream depends on the comm tree,
+// the size class and the tuning, never on the interleaving. record_schedule
+// runs the operation once on the simulated machine and keeps, per rank in
+// program order, every publish (with the payload coverage it guarantees),
+// every wait (with the payload bytes accessed after it) and every RMW: the
+// model the analyzer (analyzer.h) checks and the explorer (explore.h)
+// interleaves. The protocol is written once, in core/.
 //
-// The model describes the FIRST operation on a fresh component: every
-// cumulative base is zero and the op sequence number is 1. That is exactly
-// the state a newly built XhcComponent is in, which is what lets the
-// conformance test replay the same operation for real and compare
-// per-flag event streams byte for byte.
-//
-// Payload coverage uses abstract buffer ids (BufKind x rank) and an
-// `epoch` lattice encoding reduction progress:
-//   0          raw contribution bytes
-//   1 .. L     subtree partial through level e-1 (latency reduce), or
-//              reduce-scatter stage e-1 complete (rs_ag path)
-//   final = L  fully reduced / payload available (plain bcast uses 1)
-// A publish covering (buf, range, e) also satisfies any need at epoch <= e.
+// Coverage uses abstract buffers (BufKind x rank) and per-byte write
+// versions as epochs: every write of a byte raises its version, and a
+// rank's inputs are at version 1 on entry. A publish declares what its rank
+// came to know since its previous publish (own writes plus acquisitions); a
+// wait acquires the cumulative coverage of its earliest satisfying publish,
+// the analyzer's own rule. An access at version v (a read, or a write over
+// another rank's bytes) is a need on the earliest wait that acquired v, so
+// the model claims what the protocol guarantees, not what one schedule
+// delivered.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +30,9 @@
 
 namespace xhc::core {
 class XhcComponent;
+}
+namespace xhc::sim {
+class SimMachine;
 }
 
 namespace xhc::check {
@@ -54,7 +50,7 @@ enum class BufKind : unsigned char {
   kCicoResult,   ///< CICO segment, result half
 };
 
-/// Byte range of one abstract buffer at one reduction epoch.
+/// Byte range of one abstract buffer at one write version.
 struct DataRange {
   int buf = -1;  ///< ScheduleModel::buf_id()
   std::uint64_t lo = 0;
@@ -65,14 +61,15 @@ struct DataRange {
 /// One protocol event of one rank.
 struct Event {
   EvKind kind = EvKind::kPublish;
-  mach::Flag* flag = nullptr;
+  const mach::Flag* flag = nullptr;
   /// Published value / wait threshold / RMW delta.
   std::uint64_t value = 0;
-  /// Stable protocol-site label ("bcast.announce", "rs.chunk_wait", ...).
-  const char* site = "";
+  /// The flag's registered field plus the event kind ("prog.wait",
+  /// "announce.publish", "atomic_ctr.rmw", ...).
+  std::string site;
   /// kPublish: payload bytes guaranteed readable once this value is seen.
   std::vector<DataRange> writes;
-  /// kWait: payload bytes read after the wait resumes.
+  /// kWait: payload bytes accessed after the wait resumes.
   std::vector<DataRange> needs;
 };
 
@@ -81,7 +78,6 @@ struct ScheduleModel {
   std::size_t bytes = 0;
   int root = 0;
   int n_ranks = 0;
-  int final_epoch = 1;  ///< epoch meaning "fully reduced / available"
   /// Program-order event stream of every rank.
   std::vector<std::vector<Event>> per_rank;
 
@@ -90,21 +86,32 @@ struct ScheduleModel {
   }
   /// Inverse of buf_id, for reports.
   std::string buf_name(int id) const;
-
-  std::size_t n_events() const noexcept {
-    std::size_t n = 0;
-    for (const auto& s : per_rank) n += s.size();
-    return n;
-  }
 };
 
-/// Extracts the first-op schedule of (op, bytes, root) from `comp`'s comm
-/// tree, control-block registration, shard plan and tuning — without
-/// executing a collective; the component is only read. `bytes` must be a
-/// multiple of 8 for the reduction ops (the model fixes the element size at
-/// 8, matching the conformance runs' f64 payloads); the root is ignored for
-/// allreduce (internal root 0) and barrier.
-ScheduleModel extract_schedule(core::XhcComponent& comp, Op op,
-                               std::size_t bytes, int root = 0);
+/// Runs (op, bytes, root) once on `comp`, which must be built over
+/// `machine`, and records its schedule. The result describes that
+/// operation as run: on a fresh component, the first operation, where
+/// every cumulative base is zero. Reduction payloads are f64 sums of small
+/// integers, so every reduction order yields the exact result; `bytes`
+/// must then be a multiple of 8. The root is ignored for allreduce
+/// (internal root 0) and barrier. Throws util::Error when the payload
+/// result is wrong or a payload access lands outside the user, contribution
+/// and CICO buffers. The machine's pick hook and any attached probes stay
+/// in effect for the run; the model's flags belong to `comp`.
+ScheduleModel record_schedule(sim::SimMachine& machine,
+                              core::XhcComponent& comp, Op op,
+                              std::size_t bytes, int root = 0);
+
+/// The one coverage rule: how far the ranges of `writes` on need's buffer,
+/// at an epoch >= need.epoch, reach contiguously from need.lo. The need is
+/// covered when the result is >= need.hi.
+std::uint64_t coverage_reach(const std::vector<DataRange>& writes,
+                             const DataRange& need);
+
+/// Every range `rank` declared in its publishes up to and including event
+/// `upto`: the cumulative coverage a wait satisfied by that publish
+/// acquires.
+std::vector<DataRange> declared_writes(const ScheduleModel& m, int rank,
+                                       int upto);
 
 }  // namespace xhc::check

@@ -59,7 +59,11 @@ class XhcComponent final : public coll::Component {
   void set_observer(obs::Observer* observer) noexcept override;
 
   const coll::Tuning& tuning() const noexcept { return tuning_; }
-  CommTree& tree() noexcept { return tree_; }
+  /// Rank `rank`'s copy-in-copy-out segment (the schedule recorder maps
+  /// payload accesses into its halves).
+  const CicoSeg& cico(int rank) const {
+    return cico_[static_cast<std::size_t>(rank)];
+  }
 
  private:
   /// Per-rank private state; one line-padded entry per rank.

@@ -57,7 +57,10 @@ std::optional<std::size_t> parse_size(std::string_view s) {
 Args::Args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      throw Error("unexpected argument '" + std::string(arg) +
+                  "': flags take the form --key or --key=value");
+    }
     arg.remove_prefix(2);
     const std::size_t eq = arg.find('=');
     if (eq == std::string_view::npos) {

@@ -20,6 +20,8 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::optional<std::size_t> parse_size(std::string_view s);
 
 /// Minimal --key=value / --flag argument scanner for the bench binaries.
+/// Any other token throws util::Error naming it (`--preset armn1` would
+/// otherwise drop `armn1` and run every preset).
 class Args {
  public:
   Args(int argc, char** argv);

@@ -1,18 +1,21 @@
 // Protocol checker tests (src/check/):
-//   * conformance — the statically extracted ScheduleModel matches, flag by
-//     flag and value by value, the event stream the real collective emits,
-//   * analyzer sweep — every preset x op x size-class schedule is clean and
-//     the reports are byte-deterministic,
+//   * analyzer — every preset x op x size-class schedule, and every tuning
+//     variant the component offers, records clean, and the reports are
+//     byte-deterministic,
 //   * mutation kill score — every seeded protocol bug yields the predicted
 //     finding (property, flag, rank), and the threshold bugs are killed
 //     statically even though a default-schedule execution stays green,
 //   * exploration — the sleep-set DFS exhausts the tiny topologies with no
-//     failing interleaving, and finds the seeded deadlock when one exists.
+//     failing interleaving, both on recorded models and on the real
+//     collectives (CICO bcast, latency allreduce, RS+AG, striped bcast),
+//     and finds the seeded deadlock when one exists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,236 +37,38 @@ namespace {
 
 using check::Op;
 
-// ---------------------------------------------------------------------------
-// Conformance: model vs. real event stream
-// ---------------------------------------------------------------------------
-
-/// The flag operations the schedule model carries (it has no reads).
-enum class FlagOp : unsigned char { kStore, kRmw, kWaitEnter };
-
-struct FlagRec {
-  const mach::Flag* flag = nullptr;
-  FlagOp op = FlagOp::kStore;
-  std::uint64_t value = 0;
+/// One recorded operation: topology, tuning, op, size and root.
+struct Spec {
+  const char* label;
+  std::function<topo::Topology()> topo;
+  std::function<void(coll::Tuning&)> tune;
+  Op op;
+  std::size_t bytes;
+  int root;
 };
 
-/// Records every store / wait-entry / RMW per rank. Ranks write disjoint
-/// vectors and the probe runs under the scheduler token, so no locking.
-class OpRecorder final : public mach::Probe {
- public:
-  explicit OpRecorder(int n) : per_rank(static_cast<std::size_t>(n)) {}
-  std::vector<std::vector<FlagRec>> per_rank;
+/// Names a Spec in test listings by its label.
+void PrintTo(const Spec& spec, std::ostream* os) { *os << spec.label; }
 
-  void on_store(const mach::Flag* f, int rank, std::uint64_t value,
-                double) override {
-    add(rank, {f, FlagOp::kStore, value});
+/// A simulated machine and a fresh component, built from a Spec.
+struct Rig {
+  explicit Rig(const Spec& spec, const char* name = "check")
+      : machine(spec.topo(), spec.topo().n_cores()),
+        comp(machine, tuning_of(spec), name) {}
+
+  static coll::Tuning tuning_of(const Spec& spec) {
+    coll::Tuning t;
+    if (spec.tune) spec.tune(t);
+    return t;
   }
-  void on_rmw(const mach::Flag* f, int rank, std::uint64_t result,
-              double) override {
-    add(rank, {f, FlagOp::kRmw, result});
-  }
-  void on_wait_enter(const mach::Flag* f, int rank,
-                     std::uint64_t threshold) override {
-    add(rank, {f, FlagOp::kWaitEnter, threshold});
+  check::ScheduleModel record(const Spec& spec) {
+    return check::record_schedule(machine, comp, spec.op, spec.bytes,
+                                  spec.root);
   }
 
- private:
-  void add(int rank, FlagRec rec) {
-    per_rank[static_cast<std::size_t>(rank)].push_back(rec);
-  }
+  sim::SimMachine machine;
+  core::XhcComponent comp;
 };
-
-const char* flag_op_name(FlagOp op) {
-  switch (op) {
-    case FlagOp::kStore:
-      return "store";
-    case FlagOp::kRmw:
-      return "rmw";
-    case FlagOp::kWaitEnter:
-      return "wait";
-  }
-  return "?";
-}
-
-FlagOp expected_op(check::EvKind k) {
-  switch (k) {
-    case check::EvKind::kPublish:
-      return FlagOp::kStore;
-    case check::EvKind::kWait:
-      return FlagOp::kWaitEnter;
-    case check::EvKind::kRmw:
-      return FlagOp::kRmw;
-  }
-  return FlagOp::kStore;
-}
-
-/// Builds a fresh machine + component, extracts the first-op model, runs
-/// the same op once for real, and compares the streams position by
-/// position. Values are compared for publishes and waits; RMWs compare by
-/// position only (the model stores the delta, the probe the result).
-void expect_conformance(const std::string& label, topo::Topology topo,
-                        const coll::Tuning& tuning, Op op, std::size_t bytes,
-                        int root) {
-  const int n = topo.n_cores();
-  sim::SimMachine machine(std::move(topo), n);
-  core::XhcComponent comp(machine, tuning, "conf");
-  const check::ScheduleModel model =
-      check::extract_schedule(comp, op, bytes, root);
-  ASSERT_EQ(model.n_ranks, n) << label;
-
-  std::vector<mach::Buffer> sbuf, rbuf;
-  std::vector<unsigned char> ref(bytes);
-  util::fill_pattern(ref.data(), bytes, 42);
-  if (bytes > 0) {
-    for (int r = 0; r < n; ++r) {
-      rbuf.emplace_back(machine, r, bytes);
-      if (op != Op::kBcast) {
-        sbuf.emplace_back(machine, r, bytes);
-        util::fill_pattern(sbuf.back().get(), bytes,
-                           1000 + static_cast<std::uint64_t>(r));
-      }
-    }
-    if (op == Op::kBcast) {
-      std::memcpy(rbuf[static_cast<std::size_t>(root)].get(), ref.data(),
-                  bytes);
-    }
-  }
-
-  OpRecorder rec(n);
-  machine.attach(&rec);
-  machine.run([&](mach::Ctx& ctx) {
-    const int r = ctx.rank();
-    switch (op) {
-      case Op::kBcast:
-        comp.bcast(ctx, rbuf[static_cast<std::size_t>(r)].get(), bytes, root);
-        break;
-      case Op::kAllreduce:
-        comp.allreduce(ctx, sbuf[static_cast<std::size_t>(r)].get(),
-                       rbuf[static_cast<std::size_t>(r)].get(), bytes / 8,
-                       mach::DType::kF64, mach::ROp::kSum);
-        break;
-      case Op::kReduce:
-        comp.reduce(ctx, sbuf[static_cast<std::size_t>(r)].get(),
-                    rbuf[static_cast<std::size_t>(r)].get(), bytes / 8,
-                    mach::DType::kF64, mach::ROp::kSum, root);
-        break;
-      case Op::kBarrier:
-        comp.barrier(ctx);
-        break;
-    }
-  });
-  machine.detach(&rec);
-
-  if (op == Op::kBcast) {
-    for (int r = 0; r < n; ++r) {
-      EXPECT_EQ(0, std::memcmp(rbuf[static_cast<std::size_t>(r)].get(),
-                               ref.data(), bytes))
-          << label << ": payload mismatch on rank " << r;
-    }
-  }
-
-  const verify::Ledger& led = machine.verify_ledger();
-  for (int r = 0; r < n; ++r) {
-    const auto& want = model.per_rank[static_cast<std::size_t>(r)];
-    const auto& got = rec.per_rank[static_cast<std::size_t>(r)];
-    const std::size_t common = std::min(want.size(), got.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      const check::Event& w = want[i];
-      const FlagRec& g = got[i];
-      const bool same = g.flag == w.flag && g.op == expected_op(w.kind) &&
-                        (w.kind == check::EvKind::kRmw || g.value == w.value);
-      if (!same) {
-        ADD_FAILURE() << label << " r" << r << " event " << i
-                      << ": model wants " << flag_op_name(expected_op(w.kind))
-                      << " " << led.flag_name(w.flag) << " value " << w.value
-                      << " (site " << w.site << "), run did "
-                      << flag_op_name(g.op) << " " << led.flag_name(g.flag)
-                      << " value " << g.value;
-        return;  // first divergence is the informative one
-      }
-    }
-    ASSERT_EQ(want.size(), got.size())
-        << label << " r" << r << ": model has " << want.size()
-        << " events, the run produced " << got.size()
-        << " (streams agree on the common prefix)";
-  }
-}
-
-TEST(CheckConformance, BcastCico) {
-  expect_conformance("bcast/cico/root0", topo::mini8(), coll::Tuning{},
-                     Op::kBcast, 512, 0);
-  expect_conformance("bcast/cico/root3", topo::mini8(), coll::Tuning{},
-                     Op::kBcast, 512, 3);
-}
-
-TEST(CheckConformance, BcastPipelined) {
-  expect_conformance("bcast/pipelined", topo::mini8(), coll::Tuning{},
-                     Op::kBcast, 40000, 0);
-  expect_conformance("bcast/pipelined/root5", topo::mini8(), coll::Tuning{},
-                     Op::kBcast, 40000, 5);
-  expect_conformance("bcast/pipelined/mini16", topo::mini16(), coll::Tuning{},
-                     Op::kBcast, 40000, 0);
-}
-
-TEST(CheckConformance, BcastFlagLayouts) {
-  coll::Tuning t;
-  t.flag_layout = coll::FlagLayout::kMultiSharedLine;
-  expect_conformance("bcast/multi-shared", topo::mini8(), t, Op::kBcast, 40000,
-                     0);
-  t.flag_layout = coll::FlagLayout::kMultiSeparateLines;
-  expect_conformance("bcast/multi-sep", topo::mini8(), t, Op::kBcast, 40000,
-                     0);
-}
-
-TEST(CheckConformance, BcastAtomicSync) {
-  coll::Tuning t;
-  t.sync = coll::SyncMethod::kAtomicFetchAdd;
-  expect_conformance("bcast/atomic/cico", topo::mini8(), t, Op::kBcast, 512,
-                     0);
-  expect_conformance("bcast/atomic", topo::mini8(), t, Op::kBcast, 40000, 0);
-}
-
-TEST(CheckConformance, BcastStriped) {
-  coll::Tuning t;
-  t.stripe_threshold = 4096;
-  expect_conformance("bcast/striped", topo::mini8(), t, Op::kBcast, 16384, 0);
-  expect_conformance("bcast/striped/root6", topo::mini8(), t, Op::kBcast,
-                     16384, 6);
-}
-
-TEST(CheckConformance, Allreduce) {
-  expect_conformance("allreduce/cico", topo::mini8(), coll::Tuning{},
-                     Op::kAllreduce, 512, 0);
-  expect_conformance("allreduce/pipelined", topo::mini8(), coll::Tuning{},
-                     Op::kAllreduce, 40000, 0);
-}
-
-TEST(CheckConformance, AllreduceRsAg) {
-  coll::Tuning t;
-  t.rs_ag_threshold = 4096;
-  expect_conformance("allreduce/rs_ag/flat8", topo::flat(8), t,
-                     Op::kAllreduce, 16384, 0);
-  expect_conformance("allreduce/rs_ag/mini8", topo::mini8(), t,
-                     Op::kAllreduce, 16384, 0);
-}
-
-TEST(CheckConformance, Reduce) {
-  expect_conformance("reduce/root0", topo::mini8(), coll::Tuning{},
-                     Op::kReduce, 40000, 0);
-  expect_conformance("reduce/root2", topo::mini8(), coll::Tuning{},
-                     Op::kReduce, 40000, 2);
-  expect_conformance("reduce/cico", topo::mini8(), coll::Tuning{},
-                     Op::kReduce, 512, 1);
-}
-
-TEST(CheckConformance, Barrier) {
-  expect_conformance("barrier/mini8", topo::mini8(), coll::Tuning{},
-                     Op::kBarrier, 0, 0);
-  expect_conformance("barrier/mini16", topo::mini16(), coll::Tuning{},
-                     Op::kBarrier, 0, 0);
-  expect_conformance("barrier/flat4", topo::flat(4), coll::Tuning{},
-                     Op::kBarrier, 0, 0);
-}
 
 // ---------------------------------------------------------------------------
 // Analyzer sweep: every preset x op x size class is clean + deterministic
@@ -286,7 +91,12 @@ TEST(CheckAnalyzer, SweepAllPresetsClean) {
   for (Target& tg : targets) {
     const int n = tg.t.n_cores();
     sim::SimMachine machine(tg.t, n);
-    core::XhcComponent comp(machine, coll::Tuning{}, "sweep");
+    const auto record = [&](Op op, std::size_t bytes, int root) {
+      core::XhcComponent comp(machine, coll::Tuning{}, "sweep");
+      return check::analyze(check::record_schedule(machine, comp, op, bytes,
+                                                   root),
+                            machine.verify_ledger());
+    };
     for (const Op op : ops) {
       std::vector<std::size_t> sizes = {512, 32768, 262144};
       if (op == Op::kBarrier) sizes = {0};
@@ -294,17 +104,12 @@ TEST(CheckAnalyzer, SweepAllPresetsClean) {
         std::vector<int> roots = {0};
         if (op == Op::kBcast || op == Op::kReduce) roots.push_back(n - 1);
         for (const int root : roots) {
-          const check::ScheduleModel model =
-              check::extract_schedule(comp, op, bytes, root);
-          const check::AnalysisReport rep =
-              check::analyze(model, machine.verify_ledger());
+          const check::AnalysisReport rep = record(op, bytes, root);
           EXPECT_TRUE(rep.clean())
               << tg.name << " root=" << root << "\n" << rep.text();
-          // Byte-determinism: a second extraction + analysis renders the
-          // identical text and JSON.
-          const check::AnalysisReport rep2 = check::analyze(
-              check::extract_schedule(comp, op, bytes, root),
-              machine.verify_ledger());
+          // Byte-determinism: a second recording on another fresh component
+          // renders the identical text and JSON.
+          const check::AnalysisReport rep2 = record(op, bytes, root);
           EXPECT_EQ(rep.text(), rep2.text()) << tg.name;
           EXPECT_EQ(rep.json(), rep2.json()) << tg.name;
         }
@@ -313,20 +118,55 @@ TEST(CheckAnalyzer, SweepAllPresetsClean) {
   }
 }
 
+/// The tuning variants and shapes the component offers beyond the preset
+/// sweep's defaults: every one records a clean schedule.
+TEST(CheckAnalyzer, TunedConfigurationsClean) {
+  const auto mini8 = [] { return topo::mini8(); };
+  const auto multi_shared = [](coll::Tuning& t) {
+    t.flag_layout = coll::FlagLayout::kMultiSharedLine;
+  };
+  const auto multi_sep = [](coll::Tuning& t) {
+    t.flag_layout = coll::FlagLayout::kMultiSeparateLines;
+  };
+  const auto atomic = [](coll::Tuning& t) {
+    t.sync = coll::SyncMethod::kAtomicFetchAdd;
+  };
+  const auto stripe = [](coll::Tuning& t) { t.stripe_threshold = 4096; };
+  const auto rs_ag = [](coll::Tuning& t) { t.rs_ag_threshold = 4096; };
+  const std::vector<Spec> specs = {
+      {"bcast/multi-shared", mini8, multi_shared, Op::kBcast, 40000, 0},
+      {"bcast/multi-sep", mini8, multi_sep, Op::kBcast, 40000, 0},
+      {"allreduce/multi-sep", mini8, multi_sep, Op::kAllreduce, 40000, 0},
+      {"bcast/atomic/cico", mini8, atomic, Op::kBcast, 512, 0},
+      {"bcast/atomic", mini8, atomic, Op::kBcast, 40000, 0},
+      {"allreduce/atomic", mini8, atomic, Op::kAllreduce, 40000, 0},
+      {"bcast/striped", mini8, stripe, Op::kBcast, 16384, 0},
+      {"bcast/striped/root6", mini8, stripe, Op::kBcast, 16384, 6},
+      {"allreduce/rs_ag/flat8", [] { return topo::flat(8); }, rs_ag,
+       Op::kAllreduce, 16384, 0},
+      {"allreduce/rs_ag/mini8", mini8, rs_ag, Op::kAllreduce, 16384, 0},
+      {"reduce/root0", mini8, nullptr, Op::kReduce, 40000, 0},
+      {"reduce/root1/cico", mini8, nullptr, Op::kReduce, 512, 1},
+      {"reduce/root2", mini8, nullptr, Op::kReduce, 40000, 2},
+      {"barrier/flat4", [] { return topo::flat(4); }, nullptr, Op::kBarrier, 0,
+       0},
+      {"barrier/mini16", [] { return topo::mini16(); }, nullptr, Op::kBarrier,
+       0, 0},
+  };
+  for (const Spec& spec : specs) {
+    Rig rig(spec);
+    const check::AnalysisReport rep =
+        check::analyze(rig.record(spec), rig.machine.verify_ledger());
+    EXPECT_TRUE(rep.clean()) << spec.label << "\n" << rep.text();
+    EXPECT_GT(rep.n_waits, 0U) << spec.label;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation harness: 100% kill score with precise expectations
 // ---------------------------------------------------------------------------
 
-struct MutSpec {
-  const char* label;
-  std::function<topo::Topology()> topo;
-  std::function<void(coll::Tuning&)> tune;
-  Op op;
-  std::size_t bytes;
-  int root;
-};
-
-std::vector<MutSpec> mutation_specs() {
+std::vector<Spec> mutation_specs() {
   return {
       {"bcast_lat", [] { return topo::mini8(); }, nullptr, Op::kBcast, 40000,
        0},
@@ -350,15 +190,10 @@ TEST_P(CheckMutants, EverySeededMutantIsKilled) {
   const std::uint64_t seeds[] = {1, 2, 3, 5, 8, 13};
   int applied = 0;
   int killed = 0;
-  for (const MutSpec& spec : mutation_specs()) {
-    topo::Topology t = spec.topo();
-    const int n = t.n_cores();
-    sim::SimMachine machine(std::move(t), n);
-    coll::Tuning tuning;
-    if (spec.tune) spec.tune(tuning);
-    core::XhcComponent comp(machine, tuning, "mut");
-    const check::ScheduleModel base =
-        check::extract_schedule(comp, spec.op, spec.bytes, spec.root);
+  for (const Spec& spec : mutation_specs()) {
+    Rig rig(spec, "mut");
+    const sim::SimMachine& machine = rig.machine;
+    const check::ScheduleModel base = rig.record(spec);
     ASSERT_TRUE(check::analyze(base, machine.verify_ledger()).clean())
         << spec.label << ": baseline schedule must be clean";
     for (const std::uint64_t seed : seeds) {
@@ -415,10 +250,11 @@ INSTANTIATE_TEST_SUITE_P(
 /// runtime suite's canonical execution gates on stays green. The analyzer
 /// must kill it anyway.
 TEST(CheckMutants, StaticPassCatchesWhatDefaultRunMisses) {
-  sim::SimMachine machine(topo::mini8(), 8);
-  core::XhcComponent comp(machine, coll::Tuning{}, "blind");
-  const check::ScheduleModel base =
-      check::extract_schedule(comp, Op::kBcast, 40000, 0);
+  const Spec spec{"bcast", [] { return topo::mini8(); }, nullptr, Op::kBcast,
+                  40000, 0};
+  Rig rig(spec, "blind");
+  sim::SimMachine& machine = rig.machine;
+  const check::ScheduleModel base = rig.record(spec);
 
   const check::InterpResult good =
       check::run_model(base, machine, machine.verify_ledger());
@@ -456,12 +292,12 @@ TEST(CheckMutants, StaticPassCatchesWhatDefaultRunMisses) {
 
 TEST(CheckExplorer, ExhaustsTinyModelTopologies) {
   for (const int n : {2, 3, 4}) {
-    sim::SimMachine machine(topo::flat(n), n);
-    core::XhcComponent comp(machine, coll::Tuning{}, "explore");
     for (const Op op : {Op::kBarrier, Op::kBcast}) {
-      const std::size_t bytes = op == Op::kBcast ? 512 : 0;
-      const check::ScheduleModel model =
-          check::extract_schedule(comp, op, bytes, 0);
+      const Spec spec{"tiny", [n] { return topo::flat(n); }, nullptr, op,
+                      op == Op::kBcast ? 512U : 0U, 0};
+      Rig rig(spec, "explore");
+      sim::SimMachine& machine = rig.machine;
+      const check::ScheduleModel model = rig.record(spec);
       const check::Runner run =
           [&](const sim::VirtualScheduler::PickHook& hook,
               mach::Probe* probe) {
@@ -539,11 +375,98 @@ TEST(CheckExplorer, RealBcastPayloadUnderAllSchedules) {
   EXPECT_GT(st.branch_points, 0);
 }
 
+/// A recorded model with flag names in place of addresses, so recordings
+/// on different machines compare equal exactly when their streams do.
+std::string render(const check::ScheduleModel& m, const verify::Ledger& names) {
+  std::ostringstream os;
+  const auto ranges = [&os](char tag, const std::vector<check::DataRange>& v) {
+    for (const check::DataRange& d : v) {
+      os << ' ' << tag << d.buf << '[' << d.lo << ',' << d.hi << ")@"
+         << d.epoch;
+    }
+  };
+  for (int r = 0; r < m.n_ranks; ++r) {
+    for (const check::Event& e : m.per_rank[static_cast<std::size_t>(r)]) {
+      os << 'r' << r << ' ' << e.site << ' ' << names.flag_name(e.flag) << ' '
+         << e.value;
+      ranges('w', e.writes);
+      ranges('n', e.needs);
+      os << '\n';
+    }
+  }
+  return os.str();
+}
+
+/// Real-code exploration of the large-message and pipelined XHC paths on
+/// mini8, the largest small topology whose depth-4 tree the DFS exhausts
+/// (mini16's does not within 5000 executions). Every execution records the
+/// operation on a fresh machine and component: it must deliver the exact
+/// payload (record_schedule checks it) and the same per-rank streams, with
+/// the same coverage, as the default schedule.
+class CheckExplorerPaths : public ::testing::TestWithParam<Spec> {};
+
+TEST_P(CheckExplorerPaths, RecordedRunIsScheduleIndependent) {
+  const Spec& spec = GetParam();
+  const auto once = [&](const sim::VirtualScheduler::PickHook& hook,
+                        mach::Probe* probe) {
+    Rig rig(spec, "explore");
+    rig.machine.set_pick_hook(hook);
+    mach::ScopedProbe scoped(rig.machine, probe);
+    return render(rig.record(spec), rig.machine.verify_ledger());
+  };
+  const std::string want = once(nullptr, nullptr);
+  const check::Runner run = [&](const sim::VirtualScheduler::PickHook& hook,
+                                mach::Probe* probe) {
+    check::RunOutcome out;
+    try {
+      if (once(hook, probe) != want) {
+        out.failed = true;
+        out.diag = "recorded streams differ from the default schedule's";
+      }
+    } catch (const std::exception& e) {
+      out.failed = true;
+      out.diag = e.what();
+    }
+    return out;
+  };
+  check::ExploreOptions opts;
+  opts.max_branch_depth = 4;
+  opts.max_executions = 2000;
+  const check::ExploreStats st = check::explore(run, opts);
+  EXPECT_TRUE(st.exhausted) << "executions=" << st.executions;
+  EXPECT_EQ(st.failures, 0)
+      << (st.witnesses.empty() ? "" : st.witnesses.front());
+  EXPECT_GT(st.branch_points, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mini8, CheckExplorerPaths,
+    ::testing::Values(
+        Spec{"AllreduceLatency", [] { return topo::mini8(); },
+             [](coll::Tuning& t) { t.chunk_bytes = {1024}; }, Op::kAllreduce,
+             4096, 0},
+        Spec{"RsAg", [] { return topo::mini8(); },
+             [](coll::Tuning& t) {
+               t.rs_ag_threshold = 1024;
+               t.large_chunk_bytes = {1024};
+             },
+             Op::kAllreduce, 4096, 0},
+        Spec{"StripedBcast", [] { return topo::mini8(); },
+             [](coll::Tuning& t) {
+               t.stripe_threshold = 1024;
+               t.large_chunk_bytes = {1024};
+             },
+             Op::kBcast, 4096, 0}),
+    [](const ::testing::TestParamInfo<Spec>& info) {
+      return std::string(info.param.label);
+    });
+
 TEST(CheckExplorer, FindsSeededDeadlock) {
-  sim::SimMachine origin(topo::flat(4), 4);
-  core::XhcComponent comp(origin, coll::Tuning{}, "dead");
-  const check::ScheduleModel base =
-      check::extract_schedule(comp, Op::kBcast, 40000, 0);
+  const Spec spec{"bcast", [] { return topo::flat(4); }, nullptr, Op::kBcast,
+                  40000, 0};
+  Rig rig(spec, "dead");
+  const sim::SimMachine& origin = rig.machine;
+  const check::ScheduleModel base = rig.record(spec);
 
   check::ScheduleModel mutant;
   check::MutantInfo info;

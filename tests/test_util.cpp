@@ -201,6 +201,13 @@ TEST(Str, ArgsRejectOutOfRange) {
   EXPECT_NE(d.find("out of range"), std::string::npos) << d;
 }
 
+TEST(Str, ArgsRejectBareTokens) {
+  const char* argv[] = {"prog", "--preset", "armn1"};
+  const std::string e =
+      error_of([&] { Args args(3, const_cast<char**>(argv)); });
+  EXPECT_NE(e.find("'armn1'"), std::string::npos) << e;
+}
+
 TEST(Prng, Deterministic) {
   SplitMix64 a(7);
   SplitMix64 b(7);
